@@ -264,7 +264,7 @@ def _cmd_search(args) -> int:
         else len(w1.chars) + len(w2.chars)
     )
     budget = SearchBudget(max_length=max_length, max_nodes=args.max_nodes)
-    verdict = find_common_superword(w1, w2, budget, workers=args.workers)
+    verdict = find_common_superword(w1, w2, budget)
     if args.format == "json":
         _print_json(verdict.to_record())
     elif verdict.witness is not None:
@@ -432,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-length", type=int, default=None, help="longest word to try"
     )
     p.add_argument("--max-nodes", type=int, default=1_000_000)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser(

@@ -27,7 +27,7 @@ from .reduction import (
     _guarantee_checks,
     flexed_palindromes,
 )
-from .words import Word, occ_str
+from .words import Word, occ_starts, occ_str
 
 __all__ = [
     "EliminationStep",
@@ -96,15 +96,6 @@ class EliminationTrace:
         }
 
 
-def _occurrence_starts(s: str, pattern: str) -> list[int]:
-    starts = []
-    pos = s.find(pattern)
-    while pos >= 0:
-        starts.append(pos)
-        pos = s.find(pattern, pos + 1)
-    return starts
-
-
 def _marked_span(s: str, p1: str, p2: str) -> tuple[int, int]:
     """Bounds of the first factor of ``s`` carrying both markers once.
 
@@ -115,7 +106,7 @@ def _marked_span(s: str, p1: str, p2: str) -> tuple[int, int]:
     r1, r2 = p1[::-1], p2[::-1]
     heads = (p1,) if p1 == r1 else (p1, r1)
     tails = (p2,) if p2 == r2 else (p2, r2)
-    starts = {p: _occurrence_starts(s, p) for p in set(heads) | set(tails)}
+    starts = {p: occ_starts(s, p) for p in set(heads) | set(tails)}
     len1, len2 = len(p1), len(p2)
     n = len(s)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import EmptyPattern, LengthViolation, NotAFactor, NotRich
-from .words import Alphabet, Word
+from .words import Alphabet, Word, occ_starts
 
 __all__ = [
     "PalIndex",
@@ -331,11 +331,7 @@ def complete_returns(w: Word, u: Word) -> set[Word]:
     if not u.chars:
         raise EmptyPattern("return pattern must be nonempty")
     s, p = w.chars, u.chars
-    starts = []
-    pos = s.find(p)
-    while pos >= 0:
-        starts.append(pos)
-        pos = s.find(p, pos + 1)
+    starts = occ_starts(s, p)
     if not starts:
         raise NotAFactor(f"{p!r} does not occur in {s!r}")
     out = set()

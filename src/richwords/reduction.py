@@ -23,10 +23,9 @@ from .errors import (
     NotReducible,
     InternalInconsistency,
     NotAFlexedPalindrome,
-    NotRich,
 )
-from .palindromes import PalIndex
-from .words import Word, occ_str
+from .palindromes import PalIndex, require_rich
+from .words import Word, occ_starts, occ_str
 
 __all__ = [
     "FlexRecord",
@@ -178,19 +177,12 @@ def _flex_scan(s: str, idx: PalIndex) -> dict[str, tuple[int, str]]:
     return out
 
 
-def _rich_index(w: Word) -> PalIndex:
-    idx = PalIndex.of_word(w)
-    if not idx.rich:
-        raise NotRich(f"{w.chars!r} is not rich")
-    return idx
-
-
 def flexed_palindromes(w: Word) -> tuple[FlexRecord, ...]:
     """All flexed palindromes of the rich word ``w``, in arising order.
 
     One record per distinct palindrome; repeats keep the first position.
     """
-    idx = _rich_index(w)
+    idx = require_rich(w)
     scan = _flex_scan(w.chars, idx)
     records = [
         FlexRecord(w._wrap(pal), pos, w._wrap(rep)) for pal, (pos, rep) in scan.items()
@@ -205,7 +197,7 @@ def standard_replacement(w: Word, r: Word) -> Word:
     Always strictly longer than ``r``. Requires ``r`` to be a flexed
     palindrome of the rich word ``w``.
     """
-    idx = _rich_index(w)
+    idx = require_rich(w)
     scan = _flex_scan(w.chars, idx)
     hit = scan.get(r.chars)
     if hit is None:
@@ -334,12 +326,7 @@ def _reduce(pair: ReduciblePair, idx: PalIndex) -> ReductionTrace:
     if t in probe:
         case = ReductionCase.RETURN
         full = stem + t
-        starts = []
-        pos = full.find(t)
-        while pos >= 0:
-            starts.append(pos)
-            pos = full.find(t, pos + 1)
-        cut = starts[-2]
+        cut = occ_starts(full, t)[-2]
         g = full[cut:]
         if occ_str(g, t) != 2:
             raise InternalInconsistency(

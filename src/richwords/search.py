@@ -2,21 +2,23 @@
 
 Every prefix of a rich word is rich, so the rich words over a fixed
 alphabet form a tree rooted at the empty word in which children append one
-letter. Enumeration walks this tree depth-first with an incrementally
-maintained palindrome index, backtracking in O(1) per edge.
+letter. One walker, ``_walk``, streams this tree depth-first with an
+incrementally maintained palindrome index, backtracking in O(1) per edge.
+It keeps an explicit stack, so walks are as deep as memory allows.
 
 The common-superword search asks: is there a rich word containing two given
 rich words as factors? It walks the same tree with iterative deepening on
-length. A node counts as a hit when it contains each target up to reversal;
-one palindromic closure then restores requested orientations, since the
-closure is a palindrome containing the node as a prefix (and hence every
-reversed factor too). The search is budget-bounded: running out of budget
-means "not decided", never "no".
+length, serially. A node counts as a hit when it contains each target up to
+reversal; one palindromic closure then restores requested orientations,
+since the closure is a palindrome containing the node as a prefix (and hence
+every reversed factor too). The search is budget-bounded: running out of
+budget means "not decided", never "no".
 """
 
 from __future__ import annotations
 
 import multiprocessing
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -103,50 +105,76 @@ class SearchVerdict:
         }
 
 
-# -- enumeration ---------------------------------------------------------
+# -- the tree walk --------------------------------------------------------
 
 
-def _iter_subtree(
-    idx: PalIndex,
-    prefix: list[str],
-    max_length: int,
-    canonical: bool,
-    used: int,
-    letters: str,
+def _walk(
+    idx: PalIndex, max_length: int, canonical: bool = False, std_first: bool = False
 ) -> Iterator[str]:
-    """Depth-first stream of the strict descendants of the current word."""
-    if len(prefix) >= max_length:
+    """Preorder stream of the strict descendants, up to ``max_length``, of
+    the word held in ``idx``.
+
+    An explicit stack keeps one iterator over the node's rich letters per
+    level, so depth is bounded by memory, not by the interpreter's recursion
+    limit. Children come in display order; with ``canonical`` a letter may
+    not skip an unused one, and with ``std_first`` the standard letter leads.
+    ``idx`` is walked in place and is back at its starting word once the
+    stream is exhausted.
+    """
+    prefix = list(idx.chars)
+    root = len(prefix)
+    if root >= max_length:
         return
-    for ch in idx.rich_letters():
-        if canonical:
-            rank = letters.index(ch)
-            if rank > used:
-                continue
-            child_used = used + 1 if rank == used else used
-        else:
-            child_used = used
-        created = idx.append(ch)
-        if not created:
+    letters = idx.alphabet.letters
+    used = [len(set(prefix))] if canonical else None
+
+    def children() -> Iterator[str]:
+        out = idx.rich_letters()
+        if canonical and used[-1] < len(letters):
+            # letters are in display order, so the allowed ones are a prefix
+            out = out[: bisect_right(out, letters[used[-1]])]
+        if std_first and prefix:
+            std = idx.std_letter(len(prefix))
+            if std in out:
+                out = std + out.replace(std, "")
+        return iter(out)
+
+    stack = [children()]
+    while stack:
+        ch = next(stack[-1], "")
+        if not ch:
+            stack.pop()
+            if len(prefix) > root:
+                prefix.pop()
+                idx.pop()
+                if canonical:
+                    used.pop()
+            continue
+        if not idx.append(ch):
             raise InternalInconsistency(
                 f"rich extension {ch!r} of {''.join(prefix)!r} created no palindrome"
             )
         prefix.append(ch)
         yield "".join(prefix)
-        yield from _iter_subtree(idx, prefix, max_length, canonical, child_used, letters)
-        prefix.pop()
-        idx.pop()
+        if len(prefix) < max_length:
+            if canonical:
+                n = used[-1]
+                used.append(n + 1 if n < len(letters) and ch == letters[n] else n)
+            stack.append(children())
+        else:
+            prefix.pop()
+            idx.pop()
+
+
+# -- enumeration ---------------------------------------------------------
 
 
 def _subtree_chunk(args: tuple[int, str, int, bool]) -> list[str]:
     """Worker body: all strict descendants of one enumeration-tree node."""
     alphabet_size, root, max_length, canonical = args
-    alphabet = Alphabet(alphabet_size)
-    idx = PalIndex(alphabet)
+    idx = PalIndex(Alphabet(alphabet_size))
     idx.extend(root)
-    used = len(set(root))
-    return list(
-        _iter_subtree(idx, list(root), max_length, canonical, used, alphabet.letters)
-    )
+    return list(_walk(idx, max_length, canonical))
 
 
 def enumerate_rich(config: EnumConfig, workers: int = 1) -> Iterator[Word]:
@@ -162,14 +190,8 @@ def enumerate_rich(config: EnumConfig, workers: int = 1) -> Iterator[Word]:
     alphabet = Alphabet(config.alphabet_size)
     base = alphabet.word("")
     yield base
-    if config.max_length == 0:
-        return
-
     if workers == 1:
-        idx = PalIndex(alphabet)
-        for chars in _iter_subtree(
-            idx, [], config.max_length, config.canonical, 0, alphabet.letters
-        ):
+        for chars in _walk(PalIndex(alphabet), config.max_length, config.canonical):
             yield base._wrap(chars)
         return
 
@@ -177,8 +199,7 @@ def enumerate_rich(config: EnumConfig, workers: int = 1) -> Iterator[Word]:
     # subtrees hanging below the split depth.
     split = min(2, config.max_length)
     roots: list[str] = []
-    idx = PalIndex(alphabet)
-    for chars in _iter_subtree(idx, [], split, config.canonical, 0, alphabet.letters):
+    for chars in _walk(PalIndex(alphabet), split, config.canonical):
         yield base._wrap(chars)
         if len(chars) == split:
             roots.append(chars)
@@ -212,118 +233,8 @@ def _validated(witness: Word, p1: str, p2: str) -> Word:
     return witness
 
 
-@dataclass
-class _SearchState:
-    explored: int = 0
-
-
-def _deepen(
-    idx: PalIndex,
-    prefix: list[str],
-    limit: int,
-    pats: tuple[str, str, str, str],
-    found1: bool,
-    found2: bool,
-    state: _SearchState,
-    max_nodes: int,
-) -> str | None:
-    """Depth-first search below the current node for a word of length at most
-    ``limit`` containing each target up to reversal. Returns its characters,
-    or None when the subtree is clean or the node budget ran out."""
-    if len(prefix) >= limit:
-        return None
-    p1, r1, p2, r2 = pats
-    std = idx.std_letter(len(prefix)) if prefix else None
-    letters = idx.rich_letters()
-    if std is not None and std in letters:
-        letters = std + letters.replace(std, "")
-    for ch in letters:
-        if state.explored >= max_nodes:
-            return None
-        state.explored += 1
-        idx.append(ch)
-        prefix.append(ch)
-        chars = "".join(prefix)
-        f1 = found1 or chars.endswith(p1) or chars.endswith(r1)
-        f2 = found2 or chars.endswith(p2) or chars.endswith(r2)
-        if f1 and f2:
-            return chars
-        hit = _deepen(idx, prefix, limit, pats, f1, f2, state, max_nodes)
-        if hit is not None:
-            return hit
-        prefix.pop()
-        idx.pop()
-    return None
-
-
-def _containment_flags(chars: str, pats: tuple[str, str, str, str]) -> tuple[bool, bool]:
-    p1, r1, p2, r2 = pats
-    return (p1 in chars or r1 in chars), (p2 in chars or r2 in chars)
-
-
-def _search_chunk(args: tuple[int, str, int, tuple[str, str, str, str], int]):
-    """Worker body: bounded DFS below one subtree root."""
-    alphabet_size, root, limit, pats, node_cap = args
-    alphabet = Alphabet(alphabet_size)
-    idx = PalIndex(alphabet)
-    idx.extend(root)
-    f1, f2 = _containment_flags(root, pats)
-    state = _SearchState()
-    hit = _deepen(idx, list(root), limit, pats, f1, f2, state, node_cap)
-    return hit, state.explored
-
-
-def _parallel_rounds(
-    alphabet: Alphabet,
-    pats: tuple[str, str, str, str],
-    start: int,
-    budget: SearchBudget,
-    state: _SearchState,
-    workers: int,
-) -> str | None:
-    """Deepening rounds with depth-2 subtrees split across worker processes.
-
-    The node budget is divided evenly among subtrees each round, so the
-    exploration order (and therefore the witness found) can differ from the
-    sequential mode; any returned hit is still a genuine one.
-    """
-    split = 2
-    with multiprocessing.Pool(processes=workers) as pool:
-        for limit in range(start, budget.max_length + 1):
-            hit: str | None = None
-            roots: list[str] = []
-            idx = PalIndex(alphabet)
-            shallow = min(split, limit)
-            for chars in _iter_subtree(idx, [], shallow, False, 0, alphabet.letters):
-                if state.explored >= budget.max_nodes:
-                    return None
-                state.explored += 1
-                f1, f2 = _containment_flags(chars, pats)
-                if f1 and f2:
-                    return chars
-                if len(chars) == shallow:
-                    roots.append(chars)
-            if limit > split and roots:
-                remaining = budget.max_nodes - state.explored
-                if remaining <= 0:
-                    return None
-                cap = max(1, remaining // len(roots))
-                jobs = [
-                    (alphabet.size, root, limit, pats, cap) for root in roots
-                ]
-                for sub_hit, explored in pool.map(_search_chunk, jobs):
-                    state.explored += explored
-                    if sub_hit is not None and hit is None:
-                        hit = sub_hit
-            if hit is not None:
-                return hit
-            if state.explored >= budget.max_nodes:
-                return None
-    return None
-
-
 def find_common_superword(
-    w1: Word, w2: Word, budget: SearchBudget | None = None, workers: int = 1
+    w1: Word, w2: Word, budget: SearchBudget | None = None
 ) -> SearchVerdict:
     """Look for a rich word containing both ``w1`` and ``w2`` as factors.
 
@@ -334,9 +245,8 @@ def find_common_superword(
     budget). Every witness is re-validated before being returned. The
     default budget allows words up to |w1| + |w2| and a million nodes.
 
-    With ``workers`` > 1 each deepening round is split across processes and
-    the per-round node budget is divided among subtrees; sequential runs are
-    the reference semantics.
+    The walk keeps an explicit stack, so the search depth is bounded only by
+    memory.
     """
     require_rich(w1)
     require_rich(w2)
@@ -344,39 +254,27 @@ def find_common_superword(
         raise AlphabetMismatch(
             f"targets use different alphabets: {w1.alphabet!r} vs {w2.alphabet!r}"
         )
-    if workers < 1:
-        raise PreconditionViolation(f"workers must be positive, got {workers}")
     if budget is None:
         budget = SearchBudget(
             max_length=len(w1.chars) + len(w2.chars), max_nodes=1_000_000
         )
     p1, p2 = w1.chars, w2.chars
-    pats = (p1, p1[::-1], p2, p2[::-1])
+    r1, r2 = p1[::-1], p2[::-1]
     base = w1._wrap("")
 
     if p1 == "" and p2 == "":
         return SearchVerdict(SearchStatus.WITNESS, _validated(base, p1, p2), 0, budget)
 
-    alphabet = w1.alphabet
-    state = _SearchState()
-    start = max(len(p1), len(p2), 1)
-    hit: str | None = None
-    if workers == 1:
-        for limit in range(start, budget.max_length + 1):
-            idx = PalIndex(alphabet)
-            hit = _deepen(
-                idx, [], limit, pats, p1 == "", p2 == "", state, budget.max_nodes
-            )
-            if hit is not None:
-                break
-            if state.explored >= budget.max_nodes:
-                break
-    else:
-        hit = _parallel_rounds(alphabet, pats, start, budget, state, workers)
-    if hit is not None:
-        witness = _validated(_orient(hit, base, p1, p2), p1, p2)
-        return SearchVerdict(SearchStatus.WITNESS, witness, state.explored, budget)
-    return SearchVerdict(SearchStatus.EXHAUSTED, None, state.explored, budget)
+    explored = 0
+    for limit in range(max(len(p1), len(p2), 1), budget.max_length + 1):
+        for chars in _walk(PalIndex(w1.alphabet), limit, std_first=True):
+            if explored >= budget.max_nodes:
+                return SearchVerdict(SearchStatus.EXHAUSTED, None, explored, budget)
+            explored += 1
+            if (p1 in chars or r1 in chars) and (p2 in chars or r2 in chars):
+                witness = _validated(_orient(chars, base, p1, p2), p1, p2)
+                return SearchVerdict(SearchStatus.WITNESS, witness, explored, budget)
+    return SearchVerdict(SearchStatus.EXHAUSTED, None, explored, budget)
 
 
 def pal_complexity_profile(w: Word) -> dict[int, int]:

@@ -196,16 +196,22 @@ def lcs(u: Word, v: Word) -> Word:
     return u._wrap(a[len(a) - i :])
 
 
-def occ_str(text: str, pattern: str) -> int:
-    """Overlapping occurrence count of ``pattern`` in ``text`` (both display strings)."""
+def occ_starts(text: str, pattern: str) -> list[int]:
+    """Ascending start positions of the (possibly overlapping) occurrences of
+    ``pattern`` in ``text`` (both display strings)."""
     if not pattern:
         raise EmptyPattern("occurrence pattern must be nonempty")
-    count = 0
+    starts = []
     pos = text.find(pattern)
     while pos >= 0:
-        count += 1
+        starts.append(pos)
         pos = text.find(pattern, pos + 1)
-    return count
+    return starts
+
+
+def occ_str(text: str, pattern: str) -> int:
+    """Overlapping occurrence count of ``pattern`` in ``text`` (both display strings)."""
+    return len(occ_starts(text, pattern))
 
 
 def occ(u: Word, v: Word) -> int:

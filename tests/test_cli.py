@@ -267,6 +267,22 @@ def test_search_cli(capsys):
     assert record["explored"] == 28
 
 
+def test_enumerate_cli_deeper_than_recursion_limit(capsys):
+    code, out, _ = run(
+        capsys, "enumerate", "--q", "1", "--max-length", "1500", "--count"
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == "1500,1"
+
+
+def test_search_cli_deeper_than_recursion_limit(capsys):
+    code, out, _ = run(
+        capsys, "search", "--q", "2", "0" * 1100, "1", "--max-nodes", "5000"
+    )
+    assert code == 0
+    assert out == "exhausted-budget explored=5000\n"
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

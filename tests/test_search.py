@@ -162,15 +162,22 @@ def test_search_input_validation(rich2):
         SearchBudget(-1, 10)
     with pytest.raises(PreconditionViolation):
         SearchBudget(4, 0)
-    with pytest.raises(PreconditionViolation):
-        find_common_superword(word("0", 2), word("1", 2), workers=0)
 
 
-def test_parallel_search_finds_valid_witness():
-    v = find_common_superword(word("00", 2), word("11", 2), workers=2)
+# -- depth beyond the interpreter's recursion limit ---------------------------------
+
+
+def test_enumeration_depth_is_not_recursion_bound():
+    words = [w.chars for w in enumerate_rich(EnumConfig(1, 5000))]
+    assert len(words) == 5001
+    assert words[-1] == "0" * 5000
+
+
+def test_search_depth_is_not_recursion_bound():
+    v = find_common_superword(word("0" * 5000, 2), word("0" * 2500, 2))
     assert v.status is SearchStatus.WITNESS
-    assert is_rich(v.witness)
-    assert "00" in v.witness.chars and "11" in v.witness.chars
+    assert v.witness.chars == "0" * 5000
+    assert v.explored == 5000
 
 
 # -- palindromic complexity profile --------------------------------------------------
