@@ -51,8 +51,13 @@ def _print_json(record: dict) -> None:
 
 def _cmd_check(args) -> int:
     if args.file is not None:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            _, words = parse_word_file(handle.read())
+        try:
+            with open(args.file, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except (FileNotFoundError, IsADirectoryError, UnicodeDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        _, words = parse_word_file(text)
         for w in words:
             verdict = is_rich(w)
             if args.format == "json":

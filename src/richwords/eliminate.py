@@ -25,7 +25,6 @@ from .reduction import (
     _flex_scan,
     _reduce,
     _guarantee_checks,
-    flexed_palindromes,
 )
 from .words import Word, occ_starts, occ_str
 
@@ -180,7 +179,7 @@ def _pick_reducible(
     if longest <= floor:
         return None
     for chars in sorted(p for p in scan if len(p) == longest):
-        outcome = _conditions(w, w._wrap(chars), idx, scan, skip_rich_r=True)
+        outcome = _conditions(w, w._wrap(chars), idx, scan)
         if isinstance(outcome, ReduciblePair):
             return outcome
     return None
@@ -215,13 +214,13 @@ def eliminate(w: Word, start: Word, end: Word) -> tuple[Word, EliminationTrace]:
     """Rewrite away every reducible flexed palindrome longer than the markers.
 
     Requires ``start`` to be a prefix and ``end`` a suffix of the rich word
-    ``w``, both rich. Loops: trim to the shortest reverse-unioccurrent
-    factor, then while some flexed palindrome longer than
-    max(|start|, |end|) is reducible, rewrite it away and re-trim. The loop
-    count is capped by the total number of flexed-palindrome occurrences in
-    the input.
+    ``w`` (so both are rich, as factors of a rich word). Loops: trim to the
+    shortest reverse-unioccurrent factor, then while some flexed palindrome
+    longer than max(|start|, |end|) is reducible, rewrite it away and
+    re-trim. The loop count is capped by the total number of
+    flexed-palindrome occurrences in the input.
     """
-    require_rich(w)
+    idx = require_rich(w)
     s = w.chars
     if not s.startswith(start.chars):
         raise PreconditionViolation(
@@ -231,11 +230,9 @@ def eliminate(w: Word, start: Word, end: Word) -> tuple[Word, EliminationTrace]:
         raise PreconditionViolation(
             f"end marker {end.chars!r} is not a suffix of {s!r}"
         )
-    if not is_rich(start) or not is_rich(end):
-        raise PreconditionViolation("both markers must be rich")
     m = max(len(start.chars), len(end.chars))
     p1, p2 = start.chars, end.chars
-    cap = sum(occ_str(s, rec.palindrome.chars) for rec in flexed_palindromes(w))
+    cap = sum(occ_str(s, pal) for pal in _flex_scan(s, idx))
 
     i, j = _marked_span(s, p1, p2)
     res = w[i:j]

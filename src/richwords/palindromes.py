@@ -39,21 +39,16 @@ class PalIndex:
 
     Prefix positions are 1-based lengths: ``lps_length(k)`` talks about the
     prefix consisting of the first k letters.
+
+    Stored: the letters (``_chars``); per tree node its length, suffix link
+    and outgoing edges (``_len``, ``_slink``, ``_trans``); and per append the
+    node of the longest palindromic suffix (``_lps_node``) and the node that
+    append extended into a new one, or -1 when it created none (``_parent``).
+    Every other query is derived from these.
     """
 
     __slots__ = (
-        "alphabet",
-        "_chars",
-        "_len",
-        "_slink",
-        "_trans",
-        "_first_end",
-        "_last",
-        "_lps_node",
-        "_lps_new",
-        "_defects",
-        "_lpp",
-        "_steps",
+        "alphabet", "_chars", "_len", "_slink", "_trans", "_lps_node", "_parent"
     )
 
     def __init__(self, alphabet: Alphabet):
@@ -63,14 +58,9 @@ class PalIndex:
         self._len = [-1, 0]
         self._slink = [0, 0]
         self._trans: list[dict[str, int]] = [{}, {}]
-        self._first_end = [0, 0]
-        self._last = 1
-        # per-position records, index i describes the prefix of length i+1
+        # per-append records, index i describes the prefix of length i+1
         self._lps_node: list[int] = []
-        self._lps_new: list[bool] = []
-        self._defects: list[int] = []  # running count of appends that created nothing
-        self._lpp: list[int] = []  # running longest palindromic prefix length
-        self._steps: list[tuple[int, int]] = []
+        self._parent: list[int] = []
 
     @classmethod
     def of_word(cls, w: Word) -> "PalIndex":
@@ -87,9 +77,10 @@ class PalIndex:
         lens = self._len
         slink = self._slink
         trans = self._trans
+        nodes = self._lps_node
+        x = nodes[-1] if nodes else 1
         chars.append(ch)
         n = len(chars) - 1
-        x = self._last
         while True:
             if lens[x] == -1:
                 break
@@ -97,7 +88,6 @@ class PalIndex:
             if j >= 0 and chars[j] == ch:
                 break
             x = slink[x]
-        prev_last = self._last
         node = trans[x].get(ch)
         if node is None:
             new_len = lens[x] + 2
@@ -117,20 +107,13 @@ class PalIndex:
             lens.append(new_len)
             slink.append(sl)
             trans.append({})
-            self._first_end.append(n + 1)
             trans[x][ch] = node
-            created = True
+            parent = x
         else:
-            created = False
-        self._last = node
-        self._lps_node.append(node)
-        self._lps_new.append(created)
-        prev_defects = self._defects[-1] if self._defects else 0
-        self._defects.append(prev_defects + (0 if created else 1))
-        prev_lpp = self._lpp[-1] if self._lpp else 0
-        self._lpp.append(n + 1 if lens[node] == n + 1 else prev_lpp)
-        self._steps.append((prev_last, x if created else -1))
-        return created
+            parent = -1
+        nodes.append(node)
+        self._parent.append(parent)
+        return parent >= 0
 
     def extend(self, text: str) -> None:
         for ch in text:
@@ -138,19 +121,14 @@ class PalIndex:
 
     def pop(self) -> None:
         """Undo the most recent append."""
-        prev_last, created_parent = self._steps.pop()
         ch = self._chars.pop()
-        if created_parent >= 0:
-            del self._trans[created_parent][ch]
+        self._lps_node.pop()
+        parent = self._parent.pop()
+        if parent >= 0:
+            del self._trans[parent][ch]
             self._len.pop()
             self._slink.pop()
             self._trans.pop()
-            self._first_end.pop()
-        self._lps_node.pop()
-        self._lps_new.pop()
-        self._defects.pop()
-        self._lpp.pop()
-        self._last = prev_last
 
     # -- queries --------------------------------------------------------
 
@@ -168,12 +146,12 @@ class PalIndex:
 
     @property
     def rich(self) -> bool:
-        """Whether the current word is rich (every append created a palindrome)."""
-        return not self._defects or self._defects[-1] == 0
+        """Whether the current word is rich (every append created a palindrome).
 
-    def rich_prefix(self, k: int) -> bool:
-        """Whether the prefix of length k is rich."""
-        return k == 0 or self._defects[k - 1] == 0
+        Each append creates at most one node, so that holds exactly when there
+        are as many nodes besides the two roots as letters.
+        """
+        return len(self._len) - 2 == len(self._chars)
 
     def lps_length(self, k: int) -> int:
         """Length of the longest palindromic suffix of the length-k prefix."""
@@ -183,7 +161,7 @@ class PalIndex:
 
     def lps_is_new(self, k: int) -> bool:
         """Whether the lps of the length-k prefix occurs there for the first time."""
-        return self._lps_new[k - 1]
+        return self._parent[k - 1] >= 0
 
     def lpps_length(self, k: int) -> int:
         """Length of the longest proper palindromic suffix of the length-k prefix.
@@ -208,7 +186,12 @@ class PalIndex:
 
     def lpp_length(self) -> int:
         """Length of the longest palindromic prefix of the current word."""
-        return self._lpp[-1] if self._lpp else 0
+        lens = self._len
+        nodes = self._lps_node
+        for k in range(len(nodes), 0, -1):
+            if lens[nodes[k - 1]] == k:
+                return k
+        return 0
 
     def rich_letters(self) -> str:
         """Letters whose append keeps the current (rich) word rich."""
@@ -216,9 +199,10 @@ class PalIndex:
         lens = self._len
         slink = self._slink
         n = len(chars)
+        last = self._lps_node[-1] if self._lps_node else 1
         out = []
         for ch in self.alphabet.letters:
-            x = self._last
+            x = last
             while True:
                 if lens[x] == -1:
                     break
@@ -231,13 +215,15 @@ class PalIndex:
         return "".join(out)
 
     def iter_palindromes(self) -> Iterator[str]:
-        """Every distinct nonempty palindromic factor, as a display string."""
+        """Every distinct nonempty palindromic factor, as a display string.
+
+        Ordered by where each first occurrence ends, as the appends made them.
+        """
         s = self.chars
         lens = self._len
-        ends = self._first_end
-        for node in range(2, len(lens)):
-            e = ends[node]
-            yield s[e - lens[node] : e]
+        for end, (node, parent) in enumerate(zip(self._lps_node, self._parent), 1):
+            if parent >= 0:
+                yield s[end - lens[node] : end]
 
 
 def _lps_chars(s: str, alphabet: Alphabet) -> str:

@@ -24,7 +24,7 @@ from .errors import (
     InternalInconsistency,
     NotAFlexedPalindrome,
 )
-from .palindromes import PalIndex, require_rich
+from .palindromes import PalIndex, is_rich, require_rich
 from .words import Word, occ_starts, occ_str
 
 __all__ = [
@@ -218,22 +218,13 @@ def _parse_triple(w: Word, r: Word, idx: PalIndex) -> ParseTriple:
 
 
 def _conditions(
-    w: Word,
-    r: Word,
-    idx: PalIndex,
-    scan: dict[str, tuple[int, str]],
-    skip_rich_r: bool = False,
-    require_maximal: bool = True,
+    w: Word, r: Word, idx: PalIndex, scan: dict[str, tuple[int, str]]
 ) -> ReduciblePair | ReductionRejection:
-    """Conditions 1 (target half) through 5, given a prebuilt index and scan.
+    """Conditions 2 through 4 for rich ``w`` and ``r``, given ``w``'s index and scan.
 
-    ``skip_rich_r`` is for callers that already know ``r`` is a factor of the
-    rich ``w`` (factors of rich words are rich). With ``require_maximal``
-    off, condition 5 is evaluated but a failure is recorded on the pair
-    instead of rejecting — the rewrite construction needs only 1-4.
+    Condition 5 (maximality) is recorded on the pair instead of rejecting:
+    the rewrite construction needs only 1-4.
     """
-    if not skip_rich_r and not PalIndex.of_word(r).rich:
-        return ReductionRejection(1, "palindrome is not rich")
     if len(r.chars) <= 2:
         return ReductionRejection(
             2, f"palindrome has length {len(r.chars)}, need more than 2"
@@ -246,25 +237,22 @@ def _conditions(
         return ReductionRejection(
             4, "palindrome occurs in the longest palindromic prefix"
         )
-    longest = max(len(p) for p in scan)
-    maximal = len(r.chars) >= longest
-    if require_maximal and not maximal:
-        return ReductionRejection(
-            5, f"a longer flexed palindrome exists (length {longest})"
-        )
+    maximal = len(r.chars) >= max(map(len, scan))
     return ReduciblePair(w, r, _parse_triple(w, r, idx), maximal)
 
 
-def _evaluate(w: Word, r: Word, require_maximal: bool = True):
-    """Run the reducibility conditions in order.
+def _evaluate(w: Word, r: Word):
+    """Run the reducibility conditions 1-4 in order, recording condition 5.
 
     Returns (index of w, flex scan, ReduciblePair or ReductionRejection).
     """
     idx = PalIndex.of_word(w)
     if not idx.rich:
         return idx, None, ReductionRejection(1, "word is not rich")
+    if not is_rich(r):
+        return idx, None, ReductionRejection(1, "palindrome is not rich")
     scan = _flex_scan(w.chars, idx)
-    return idx, scan, _conditions(w, r, idx, scan, require_maximal=require_maximal)
+    return idx, scan, _conditions(w, r, idx, scan)
 
 
 def check_reducible(w: Word, r: Word) -> ReduciblePair | ReductionRejection:
@@ -275,7 +263,11 @@ def check_reducible(w: Word, r: Word) -> ReduciblePair | ReductionRejection:
     no flexed palindrome of w longer than r. Returns a structured rejection
     naming the first failure instead of raising.
     """
-    _, _, outcome = _evaluate(w, r)
+    _, scan, outcome = _evaluate(w, r)
+    if isinstance(outcome, ReduciblePair) and not outcome.maximal:
+        return ReductionRejection(
+            5, f"a longer flexed palindrome exists (length {max(map(len, scan))})"
+        )
     return outcome
 
 
@@ -285,7 +277,7 @@ def parse(w: Word, r: Word) -> ParseTriple:
     Needs conditions 1-4; the maximality condition 5 is not required for the
     split to be well defined (``check_reducible`` reports it).
     """
-    _, _, outcome = _evaluate(w, r, require_maximal=False)
+    _, _, outcome = _evaluate(w, r)
     if isinstance(outcome, ReductionRejection):
         raise NotReducible(outcome)
     return outcome.parse
@@ -416,7 +408,7 @@ def reduced_prefix(w: Word, r: Word) -> ReductionTrace:
     since the construction itself only depends on 1-4. The trace's
     ``result`` field already includes the tail.
     """
-    idx, _, outcome = _evaluate(w, r, require_maximal=False)
+    idx, _, outcome = _evaluate(w, r)
     if isinstance(outcome, ReductionRejection):
         raise NotReducible(outcome)
     return _reduce(outcome, idx)
@@ -458,7 +450,7 @@ def reduced_word(w: Word, r: Word) -> tuple[Word, ReductionTrace]:
     (condition 5); the rewrite runs without maximality — conditions 1-4 —
     and the asserts then report any failure honestly.
     """
-    idx, scan, outcome = _evaluate(w, r, require_maximal=False)
+    idx, scan, outcome = _evaluate(w, r)
     if isinstance(outcome, ReductionRejection):
         raise NotReducible(outcome)
     trace = _reduce(outcome, idx)

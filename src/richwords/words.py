@@ -12,7 +12,13 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import AlphabetMismatch, DomainError, EmptyPattern, LengthViolation
+from .errors import (
+    AlphabetMismatch,
+    DomainError,
+    EmptyPattern,
+    LengthViolation,
+    PreconditionViolation,
+)
 
 DISPLAY = "0123456789abcdefghijklmnopqrstuvwxyz"
 MAX_ALPHABET = len(DISPLAY)
@@ -254,7 +260,10 @@ def parse_word_file(text: str) -> tuple[Alphabet, list[Word]]:
     lines = [line for line in lines if line]
     declared: int | None = None
     if lines and lines[0].startswith("q="):
-        declared = int(lines[0][2:])
+        try:
+            declared = int(lines[0][2:])
+        except ValueError:
+            raise PreconditionViolation(f"bad alphabet header {lines[0]!r}") from None
         lines = lines[1:]
     q = declared if declared is not None else infer_alphabet_size(*lines)
     alphabet = Alphabet(q)

@@ -45,6 +45,15 @@ def test_check_file(tmp_path, capsys):
     assert out.splitlines() == ["010 rich", f"{NOT_RICH} not rich"]
 
 
+def test_check_file_errors(tmp_path, capsys):
+    code, out, err = run(capsys, "check", "--file", str(tmp_path / "missing.txt"))
+    assert (code, out) == (2, "") and err.startswith("error:")
+    path = tmp_path / "words.txt"
+    path.write_text("q=abc\n010\n")
+    code, out, err = run(capsys, "check", "--file", str(path))
+    assert (code, out) == (1, "") and "bad alphabet header" in err
+
+
 def test_check_requires_word_or_file(capsys):
     code, _, err = run(capsys, "check")
     assert code == 2

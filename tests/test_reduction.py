@@ -127,6 +127,10 @@ def test_reducibility_condition_1_requires_rich_inputs():
     assert isinstance(out, ReductionRejection) and out.condition == 1
     out = check_reducible(word("01001100", 2), word(bad, 2))
     assert isinstance(out, ReductionRejection) and out.condition == 1
+    for op in (parse, reduced_word):
+        with pytest.raises(NotReducible) as info:
+            op(word("01001100", 2), word(bad, 2))
+        assert info.value.rejection.condition == 1
 
 
 def test_reducibility_condition_2_requires_length_three():

@@ -9,6 +9,7 @@ from richwords import (
     DomainError,
     EmptyPattern,
     LengthViolation,
+    PreconditionViolation,
     Word,
     factors,
     format_word_file,
@@ -210,3 +211,6 @@ def test_word_file_header_and_inference():
     assert alphabet.size == 3
     with pytest.raises(DomainError):
         parse_word_file("q=2\n012\n")
+    for text in ("q=abc\n01\n", "q=\n01\n"):
+        with pytest.raises(PreconditionViolation, match="bad alphabet header"):
+            parse_word_file(text)
