@@ -183,8 +183,7 @@ def superword_length_bound(
     k_exact = materialize(k, "flex bound")
     # Predict the length bound's digit count before shifting 2^(k+2): the
     # shift itself is infeasible whenever the result would not fit the cap.
-    total_digits_est = log10_total if log10_total != math.inf else math.inf
-    if total_digits_est != math.inf and total_digits_est < digit_cap + 2:
+    if log10_total < digit_cap + 2:
         length_exact = materialize(m << (k + 2), "length bound")
         growth_exact = materialize(m << (k + 1), "growth bound")
     elif require_exact:

@@ -4,6 +4,9 @@ One subcommand per library operation; words are written as display symbols
 (0-9 then a-z). Exit status 0 means success, 1 a domain rejection (the
 message on standard error names the failing condition), 2 a usage error.
 Structured output is line-delimited JSON so harnesses can stream it.
+
+Handlers return their output and raise on rejection; ``main`` alone prints
+the view ``--format`` selects and picks the exit status.
 """
 
 from __future__ import annotations
@@ -11,10 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterable, NamedTuple
 
 from .bounds import DEFAULT_DIGIT_CAP, ensure_printable, superword_length_bound
 from .eliminate import eliminate, shortest_marked_factor
-from .errors import DomainError, ResourceLimit
+from .errors import DomainError, NotReducible, ResourceLimit
 from .extensions import std_ext
 from .palindromes import is_rich, pal_closure, pal_factors
 from .reduction import (
@@ -42,173 +46,144 @@ def _resolve_words(q: int | None, *texts: str) -> list[Word]:
     return [alphabet.word(text) for text in texts]
 
 
-def _print_json(record: dict) -> None:
-    print(json.dumps(record))
+class _UsageError(Exception):
+    """A command line argparse accepts but the command cannot run (exit 2)."""
+
+
+class _Output(NamedTuple):
+    """What a handler prints: plain lines, plus JSON records and csv lines
+    where the command has them. A view a command lacks falls back to plain,
+    so ``--trace`` and ``--count`` give only a plain view."""
+
+    plain: Iterable[str]
+    json: Iterable[dict] | None = None
+    csv: Iterable[str] | None = None
+
+
+def _render(output: _Output, fmt: str) -> None:
+    if fmt == "json" and output.json is not None:
+        lines = map(json.dumps, output.json)
+    elif fmt == "csv" and output.csv is not None:
+        lines = output.csv
+    else:
+        lines = output.plain
+    for line in lines:
+        print(line)
 
 
 # -- subcommand handlers ---------------------------------------------------
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> _Output:
     if args.file is not None:
         try:
             with open(args.file, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except (FileNotFoundError, IsADirectoryError, UnicodeDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise _UsageError(exc) from exc
         _, words = parse_word_file(text)
-        for w in words:
-            verdict = is_rich(w)
-            if args.format == "json":
-                _print_json({"word": w.chars, "rich": verdict})
-            elif args.format == "csv":
-                print(f"{w.chars},{'rich' if verdict else 'not-rich'}")
-            else:
-                print(f"{w.chars} {'rich' if verdict else 'not rich'}")
-        return 0
-    if args.word is None:
-        print("error: provide a word or --file", file=sys.stderr)
-        return 2
-    (w,) = _resolve_words(args.q, args.word)
-    verdict = is_rich(w)
-    if args.format == "json":
-        _print_json({"word": w.chars, "rich": verdict})
-    elif args.format == "csv":
-        print(f"{w.chars},{'rich' if verdict else 'not-rich'}")
+    elif args.word is None:
+        raise _UsageError("provide a word or --file")
     else:
-        print("rich" if verdict else "not rich")
-    return 0
+        words = _resolve_words(args.q, args.word)
+    verdicts = [(w.chars, is_rich(w)) for w in words]
+    if args.file is not None:
+        plain = (f"{c} {'rich' if v else 'not rich'}" for c, v in verdicts)
+    else:
+        plain = ("rich" if v else "not rich" for _, v in verdicts)
+    return _Output(
+        plain,
+        json=({"word": c, "rich": v} for c, v in verdicts),
+        csv=(f"{c},{'rich' if v else 'not-rich'}" for c, v in verdicts),
+    )
 
 
-def _cmd_factors(args) -> int:
+def _cmd_factors(args) -> _Output:
     (w,) = _resolve_words(args.q, args.word)
     pals = sorted((p.chars for p in pal_factors(w)), key=lambda c: (len(c), c))
-    if args.format == "json":
-        _print_json({"word": w.chars, "palindromic_factors": pals})
-    elif args.format == "csv":
-        for p in pals:
-            print(f"{len(p)},{p}")
-    else:
-        for p in pals:
-            print(p)
-    return 0
+    return _Output(
+        pals,
+        json=[{"word": w.chars, "palindromic_factors": pals}],
+        csv=(f"{len(p)},{p}" for p in pals),
+    )
 
 
-def _cmd_flexed(args) -> int:
+def _cmd_flexed(args) -> _Output:
     (w,) = _resolve_words(args.q, args.word)
     records = flexed_palindromes(w)
-    if args.format == "json":
-        _print_json({"word": w.chars, "flexed": [r.to_record() for r in records]})
-    elif args.format == "csv":
-        for r in records:
-            print(f"{r.palindrome.chars},{r.position},{r.replacement.chars}")
-    else:
-        for r in records:
-            print(f"{r.palindrome.chars} {r.position} {r.replacement.chars}")
-    return 0
+    fields = [(r.palindrome.chars, r.position, r.replacement.chars) for r in records]
+    return _Output(
+        (f"{p} {i} {x}" for p, i, x in fields),
+        json=[{"word": w.chars, "flexed": [r.to_record() for r in records]}],
+        csv=(f"{p},{i},{x}" for p, i, x in fields),
+    )
 
 
-def _cmd_closure(args) -> int:
+def _cmd_closure(args) -> _Output:
     (w,) = _resolve_words(args.q, args.word)
     result = pal_closure(w)
-    if args.format == "json":
-        _print_json({"word": w.chars, "closure": result.chars})
-    else:
-        print(result.chars)
-    return 0
+    return _Output([result.chars], json=[{"word": w.chars, "closure": result.chars}])
 
 
-def _cmd_extend(args) -> int:
+def _cmd_extend(args) -> _Output:
     (w,) = _resolve_words(args.q, args.word)
     result = std_ext(w, args.steps)
-    if args.format == "json":
-        _print_json({"word": w.chars, "steps": args.steps, "result": result.chars})
-    else:
-        print(result.chars)
-    return 0
+    record = {"word": w.chars, "steps": args.steps, "result": result.chars}
+    return _Output([result.chars], json=[record])
 
 
-def _cmd_gamma(args) -> int:
+def _cmd_gamma(args) -> _Output:
     w, r = _resolve_words(args.q, args.word, args.target)
     outcome = check_reducible(w, r)
     if isinstance(outcome, ReductionRejection):
-        print(f"error: {outcome}", file=sys.stderr)
-        return 1
-    triple = outcome.parse
-    if args.format == "json":
-        _print_json(
-            {
-                "word": w.chars,
-                "target": r.chars,
-                "reducible": True,
-                "parse": triple.to_record(),
-            }
-        )
-    else:
-        print("reducible")
-    return 0
+        raise NotReducible(outcome)
+    record = {
+        "word": w.chars,
+        "target": r.chars,
+        "reducible": True,
+        "parse": outcome.parse.to_record(),
+    }
+    return _Output(["reducible"], json=[record])
 
 
-def _cmd_parse(args) -> int:
+def _cmd_parse(args) -> _Output:
     w, r = _resolve_words(args.q, args.word, args.target)
     triple = parse(w, r)
-    if args.format == "json":
-        _print_json({"word": w.chars, "target": r.chars, **triple.to_record()})
-    else:
-        print(f"span {triple.span.chars}")
-        print(f"forced {triple.forced.chars}")
-        print(f"tail {triple.tail.chars}")
-    return 0
+    return _Output(
+        [f"span {triple.span.chars}", f"forced {triple.forced.chars}", f"tail {triple.tail.chars}"],
+        json=[{"word": w.chars, "target": r.chars, **triple.to_record()}],
+    )
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> _Output:
     w, r = _resolve_words(args.q, args.word, args.target)
     result, trace = reduced_word(w, r)
     if args.trace:
-        _print_json(trace.to_record())
-    elif args.format == "json":
-        _print_json({"word": w.chars, "target": r.chars, "result": result.chars})
-    else:
-        print(result.chars)
-    return 0
+        return _Output([json.dumps(trace.to_record())])
+    record = {"word": w.chars, "target": r.chars, "result": result.chars}
+    return _Output([result.chars], json=[record])
 
 
-def _cmd_eliminate(args) -> int:
+def _cmd_eliminate(args) -> _Output:
     w, start, end = _resolve_words(args.q, args.word, args.start, args.end)
     final, trace = eliminate(w, start, end)
     if args.trace:
-        _print_json(trace.to_record())
-    elif args.format == "json":
-        _print_json(
-            {
-                "word": w.chars,
-                "start": start.chars,
-                "end": end.chars,
-                "final": final.chars,
-                "iterations": trace.iterations,
-            }
-        )
-    else:
-        print(final.chars)
-    return 0
+        return _Output([json.dumps(trace.to_record())])
+    record = {
+        "word": w.chars,
+        "start": start.chars,
+        "end": end.chars,
+        "final": final.chars,
+        "iterations": trace.iterations,
+    }
+    return _Output([final.chars], json=[record])
 
 
-def _cmd_ruo(args) -> int:
+def _cmd_ruo(args) -> _Output:
     w, start, end = _resolve_words(args.q, args.word, args.start, args.end)
     result = shortest_marked_factor(w, start, end)
-    if args.format == "json":
-        _print_json(
-            {
-                "word": w.chars,
-                "start": start.chars,
-                "end": end.chars,
-                "factor": result.chars,
-            }
-        )
-    else:
-        print(result.chars)
-    return 0
+    record = {"word": w.chars, "start": start.chars, "end": end.chars, "factor": result.chars}
+    return _Output([result.chars], json=[record])
 
 
 def _format_exact(value: int | None, log10_value: float) -> str:
@@ -217,30 +192,27 @@ def _format_exact(value: int | None, log10_value: float) -> str:
     return f"~10^{log10_value:.2f}"
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> _Output:
     report = superword_length_bound(
         args.m, args.q, digit_cap=args.digit_cap, require_exact=args.exact
     )
     ensure_printable(report.digit_cap)
-    if args.format == "json":
-        _print_json(report.to_record())
-    else:
-        print(f"flex_bound {_format_exact(report.flex_bound, report.log10_flex_bound)}")
-        print(
-            f"length_bound {_format_exact(report.length_bound, report.log10_length_bound)}"
-        )
-        growth_log10 = (
-            report.log10_length_bound - 0.30102999566398120
-            if report.log10_length_bound != float("inf")
-            else float("inf")
-        )
-        print(f"growth_bound {_format_exact(report.growth_bound, growth_log10)}")
-        print(f"log10_flex_bound {report.log10_flex_bound}")
-        print(f"log10_length_bound {report.log10_length_bound}")
-    return 0
+    growth_log10 = (
+        report.log10_length_bound - 0.30102999566398120
+        if report.log10_length_bound != float("inf")
+        else float("inf")
+    )
+    plain = [
+        f"flex_bound {_format_exact(report.flex_bound, report.log10_flex_bound)}",
+        f"length_bound {_format_exact(report.length_bound, report.log10_length_bound)}",
+        f"growth_bound {_format_exact(report.growth_bound, growth_log10)}",
+        f"log10_flex_bound {report.log10_flex_bound}",
+        f"log10_length_bound {report.log10_length_bound}",
+    ]
+    return _Output(plain, json=[report.to_record()])
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> _Output:
     config = EnumConfig(
         alphabet_size=args.q, max_length=args.max_length, canonical=args.canonical
     )
@@ -249,19 +221,14 @@ def _cmd_enumerate(args) -> int:
         counts = [0] * (args.max_length + 1)
         for w in stream:
             counts[len(w.chars)] += 1
-        for length, count in enumerate(counts):
-            print(f"{length},{count}")
-        return 0
-    if args.format == "json":
-        for w in stream:
-            _print_json({"word": w.chars, "length": len(w.chars)})
-    else:
-        for w in stream:
-            print(w.chars)
-    return 0
+        return _Output(f"{length},{count}" for length, count in enumerate(counts))
+    return _Output(
+        (w.chars for w in stream),
+        json=({"word": w.chars, "length": len(w.chars)} for w in stream),
+    )
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> _Output:
     w1, w2 = _resolve_words(args.q, args.first, args.second)
     max_length = (
         args.max_length
@@ -270,26 +237,20 @@ def _cmd_search(args) -> int:
     )
     budget = SearchBudget(max_length=max_length, max_nodes=args.max_nodes)
     verdict = find_common_superword(w1, w2, budget)
-    if args.format == "json":
-        _print_json(verdict.to_record())
-    elif verdict.witness is not None:
-        print(f"witness {verdict.witness.chars}")
+    if verdict.witness is not None:
+        line = f"witness {verdict.witness.chars}"
     else:
-        print(f"exhausted-budget explored={verdict.explored}")
-    return 0
+        line = f"exhausted-budget explored={verdict.explored}"
+    return _Output([line], json=[verdict.to_record()])
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args) -> _Output:
     (w,) = _resolve_words(args.q, args.word)
     profile = pal_complexity_profile(w)
-    if args.format == "json":
-        _print_json(
-            {"word": w.chars, "profile": {str(k): v for k, v in profile.items()}}
-        )
-    else:
-        for length, count in profile.items():
-            print(f"{length},{count}")
-    return 0
+    return _Output(
+        [f"{length},{count}" for length, count in profile.items()],
+        json=[{"word": w.chars, "profile": {str(k): v for k, v in profile.items()}}],
+    )
 
 
 # -- parser ---------------------------------------------------------------
@@ -449,13 +410,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except (DomainError, ResourceLimit) as exc:
+        _render(args.handler(args), args.format)
+    except (_UsageError, DomainError, ResourceLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _UsageError) else 1
+    return 0
 
 
 if __name__ == "__main__":

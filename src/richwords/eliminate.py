@@ -220,6 +220,8 @@ def eliminate(w: Word, start: Word, end: Word) -> tuple[Word, EliminationTrace]:
     re-trim. The loop count is capped by the total number of
     flexed-palindrome occurrences in the input.
     """
+    if len(start.chars) == 0 or len(end.chars) == 0:
+        raise PreconditionViolation("markers must be nonempty")
     idx = require_rich(w)
     s = w.chars
     if not s.startswith(start.chars):

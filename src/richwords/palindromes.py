@@ -153,21 +153,34 @@ class PalIndex:
         """
         return len(self._len) - 2 == len(self._chars)
 
+    def _bad_prefix(self, k: int, lo: int) -> LengthViolation:
+        return LengthViolation(
+            f"prefix length must be in {lo}..{len(self._chars)}, got {k}"
+        )
+
     def lps_length(self, k: int) -> int:
-        """Length of the longest palindromic suffix of the length-k prefix."""
+        """Length of the longest palindromic suffix of the length-k prefix,
+        0 <= k <= len."""
+        if not 0 <= k <= len(self._chars):
+            raise self._bad_prefix(k, 0)
         if k == 0:
             return 0
         return self._len[self._lps_node[k - 1]]
 
     def lps_is_new(self, k: int) -> bool:
-        """Whether the lps of the length-k prefix occurs there for the first time."""
+        """Whether the lps of the length-k prefix occurs there for the first
+        time, 1 <= k <= len."""
+        if not 0 < k <= len(self._chars):
+            raise self._bad_prefix(k, 1)
         return self._parent[k - 1] >= 0
 
     def lpps_length(self, k: int) -> int:
         """Length of the longest proper palindromic suffix of the length-k prefix.
 
-        Defined here for every k >= 1, with value 0 for a single letter.
+        Defined here for every 1 <= k <= len, with value 0 for a single letter.
         """
+        if not 0 < k <= len(self._chars):
+            raise self._bad_prefix(k, 1)
         node = self._lps_node[k - 1]
         length = self._len[node]
         if length < k:
@@ -180,7 +193,7 @@ class PalIndex:
         For a prefix u with longest proper palindromic suffix p, the standard
         extension appends the letter x that precedes p in u (so the new
         longest palindromic suffix becomes x p x); for k = 1 this is the
-        letter itself.
+        letter itself. Requires 1 <= k <= len.
         """
         return self._chars[k - self.lpps_length(k) - 1]
 

@@ -90,8 +90,6 @@ class Word:
         return len(self.chars)
 
     def __getitem__(self, item) -> "Word":
-        if isinstance(item, slice):
-            return self._wrap(self.chars[item])
         return self._wrap(self.chars[item])
 
     def __add__(self, other) -> "Word":

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import oracles
-from richwords.cli import main
+from richwords.cli import build_parser, main
 
 W1 = "123999322399932442399932255223993"
 W2 = "123999599932239949"
@@ -179,6 +179,11 @@ def test_eliminate_cli(capsys):
         capsys, "eliminate", "--format", "json", "--q", "2", "000000001011", "00", "11"
     )
     assert json.loads(out)["final"] == "0011"
+    assert run(capsys, "eliminate", "010", "", "") == (
+        1,
+        "",
+        "error: markers must be nonempty\n",
+    )
 
 
 def test_ruo_cli(capsys):
@@ -300,3 +305,128 @@ def test_usage_errors_exit_2(capsys):
         main(["bound", "--m", "1"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# -- pinned output bytes ------------------------------------------------------------
+
+WORDS_FILE = object()  # stands for a q=2 word file holding 010 and NOT_RICH
+REDUCE_TRACE = (
+    '{"word": "123999599932239949", "target": "999", "parse": {"span": "1239995999", '
+    '"forced": "32", "tail": "239949"}, "maximal": true, "case": "closure", '
+    '"head": "1", "complete_return": null, "lead": null, "replacement": "3993", '
+    '"closure_pick": "1239932", "reduced_prefix": "1239932", "result": "1239932239949"}\n'
+)
+
+PINNED = [
+    pytest.param(
+        ["flexed", "--format", "csv", "--q", "2", WF],
+        "0,3,111\n010,5,11011\n00,9,101101\n001100,13,1011001101\n",
+        id="flexed-csv",
+    ),
+    pytest.param(
+        ["check", "--format", "json", "--file", WORDS_FILE],
+        f'{{"word": "010", "rich": true}}\n{{"word": "{NOT_RICH}", "rich": false}}\n',
+        id="check-file-json",
+    ),
+    pytest.param(
+        ["check", "--format", "csv", "--file", WORDS_FILE],
+        f"010,rich\n{NOT_RICH},not-rich\n",
+        id="check-file-csv",
+    ),
+    pytest.param(
+        ["ruo", "--format", "json", "--q", "2", "010", "0", "0"],
+        '{"word": "010", "start": "0", "end": "0", "factor": "0"}\n',
+        id="ruo-json",
+    ),
+    pytest.param(["closure", "--format", "csv", "12399"], "12399321\n", id="closure-csv"),
+    pytest.param(
+        ["extend", "--format", "csv", "--steps", "3", "12399"], "12399321\n", id="extend-csv"
+    ),
+    pytest.param(["gamma", "--format", "csv", W2, "999"], "reducible\n", id="gamma-csv"),
+    pytest.param(
+        ["parse", "--format", "csv", W2, "999"],
+        "span 1239995999\nforced 32\ntail 239949\n",
+        id="parse-csv",
+    ),
+    pytest.param(["reduce", "--format", "csv", W2, "999"], "1239932239949\n", id="reduce-csv"),
+    pytest.param(
+        ["eliminate", "--format", "csv", "--q", "2", "000000001011", "00", "11"],
+        "0011\n",
+        id="eliminate-csv",
+    ),
+    pytest.param(
+        ["search", "--format", "csv", "--q", "2", "00", "11"], "witness 0011\n", id="search-csv"
+    ),
+    pytest.param(
+        ["profile", "--format", "csv", "--q", "2", WF],
+        "1,2\n2,2\n3,2\n4,2\n5,1\n6,2\n7,1\n8,2\n10,1\n",
+        id="profile-csv",
+    ),
+    pytest.param(
+        ["enumerate", "--format", "json", "--q", "2", "--max-length", "3", "--count"],
+        "0,1\n1,2\n2,4\n3,8\n",
+        id="enumerate-count-json",
+    ),
+    pytest.param(
+        ["reduce", "--format", "csv", "--trace", W2, "999"], REDUCE_TRACE, id="reduce-trace-csv"
+    ),
+    pytest.param(["flexed", "--format", "plain", ""], "", id="flexed-empty-plain"),
+    pytest.param(["flexed", "--format", "csv", ""], "", id="flexed-empty-csv"),
+    pytest.param(
+        ["flexed", "--format", "json", ""], '{"word": "", "flexed": []}\n', id="flexed-empty-json"
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED)
+def test_pinned_stdout(argv, expected, tmp_path, capsys):
+    path = tmp_path / "words.txt"
+    path.write_text(f"q=2\n010\n\n{NOT_RICH}\n")
+    argv = [str(path) if a is WORDS_FILE else a for a in argv]
+    assert run(capsys, *argv) == (0, expected, "")
+
+
+# -- hostile input ---------------------------------------------------------------------
+
+LONG = ("0" * 9 + "1") * 200
+SUBCOMMANDS = sorted(build_parser()._subparsers._group_actions[0].choices)
+
+
+def _argv_for(command: str, w: str) -> list[str]:
+    """One invocation of ``command`` fed the word ``w`` in every word slot;
+    the commands without a word get its length (-1 for a bad letter)."""
+    n = str(len(w)) if w.isdigit() or not w else "-1"
+    return {
+        "check": ["check", w],
+        "factors": ["factors", w],
+        "flexed": ["flexed", w],
+        "closure": ["closure", w],
+        "extend": ["extend", w],
+        "gamma": ["gamma", w, w[:3]],
+        "parse": ["parse", w, w[:3]],
+        "reduce": ["reduce", w, w[:3]],
+        "eliminate": ["eliminate", w, w[:1], w[-1:]],
+        "ruo": ["ruo", w, w[:1], w[-1:]],
+        "bound": ["bound", "--m", n, "--q", "2"],
+        "enumerate": ["enumerate", "--q", "1", "--max-length", n, "--count"],
+        "search": ["search", w, w[::-1], "--max-nodes", "50"],
+        "profile": ["profile", w],
+    }[command]
+
+
+def _with_q(argv: list[str], q: str) -> list[str]:
+    if "--q" in argv:
+        argv = list(argv)
+        argv[argv.index("--q") + 1] = q
+        return argv
+    return argv[:1] + ["--q", q] + argv[1:]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_hostile_input_exits_cleanly(command, capsys):
+    cases = [_argv_for(command, w) for w in ("", "0!1", LONG)]
+    cases += [_with_q(_argv_for(command, "010"), q) for q in ("0", "37")]
+    for argv in cases:
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2), argv
+        assert code == 0 or err.startswith("error:"), (argv, err)

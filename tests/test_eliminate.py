@@ -193,6 +193,12 @@ def test_eliminate_precondition_errors():
         eliminate(word("00", 2), word("0", 2), word("00", 2))
 
 
+def test_eliminate_rejects_empty_markers():
+    for start, end in (("", ""), ("0", ""), ("", "0")):
+        with pytest.raises(PreconditionViolation, match="markers must be nonempty"):
+            eliminate(word("010", 2), word(start, 2), word(end, 2))
+
+
 def test_eliminate_loop_invariants_on_corpus(rich2):
     ran = rewrote = undefined = 0
     for s in rich2:

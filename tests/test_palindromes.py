@@ -276,3 +276,17 @@ def test_index_pop_restores_every_statistic():
         assert idx.lpp_length() == fresh.lpp_length()
         assert list(idx.iter_palindromes()) == list(fresh.iter_palindromes())
         assert idx.rich_letters() == fresh.rich_letters()
+
+
+def test_prefix_queries_reject_out_of_range_lengths():
+    idx = PalIndex.of_word(word("0110", 2))
+    assert [idx.lps_length(k) for k in range(5)] == [0, 1, 1, 2, 4]
+    for query, bad in (
+        (idx.lps_length, (-1, 5)),
+        (idx.lps_is_new, (-1, 0, 5)),
+        (idx.lpps_length, (-1, 0, 5)),
+        (idx.std_letter, (-1, 0, 5)),
+    ):
+        for k in bad:
+            with pytest.raises(LengthViolation):
+                query(k)
