@@ -75,6 +75,8 @@ def _render(output: _Output, fmt: str) -> None:
 
 
 def _cmd_check(args) -> _Output:
+    if args.file is not None and args.word is not None:
+        raise _UsageError("give a word or --file, not both")
     if args.file is not None:
         try:
             with open(args.file, "r", encoding="utf-8") as handle:

@@ -13,7 +13,7 @@ longest marker.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import InternalInconsistency, PreconditionViolation
@@ -101,40 +101,32 @@ def _marked_span(s: str, p1: str, p2: str) -> tuple[int, int]:
     Candidates are ordered by length ascending, then start ascending; a
     candidate must begin with ``p1`` or its reverse, end with ``p2`` or its
     reverse, and contain each marker (orientations pooled) exactly once.
+
+    Each tail occurrence t ends at most one candidate, at j = t + |p2|: it
+    must start at the last head h with h + |p1| <= j (an earlier start holds
+    that head too) and hold no other tail (h <= t, previous tail before h).
+    One pass over the tails, a bisect each: O(n log n) after the O(n) scans.
     """
-    r1, r2 = p1[::-1], p2[::-1]
-    heads = (p1,) if p1 == r1 else (p1, r1)
-    tails = (p2,) if p2 == r2 else (p2, r2)
-    starts = {p: occ_starts(s, p) for p in set(heads) | set(tails)}
-    len1, len2 = len(p1), len(p2)
-    n = len(s)
-
-    def pooled_count(patterns, lo: int, hi: int, plen: int) -> int:
-        # occurrences fully inside s[lo:hi], both orientations pooled
-        total = 0
-        for p in patterns:
-            occ = starts[p]
-            total += bisect_right(occ, hi - plen) - bisect_left(occ, lo)
-        return total
-
-    for length in range(max(len1, len2), n + 1):
-        for i in range(n - length + 1):
-            j = i + length
-            if not (s.startswith(p1, i) or s.startswith(r1, i)):
-                continue
-            if not (s.startswith(p2, j - len2) or s.startswith(r2, j - len2)):
-                continue
-            if pooled_count(heads, i, j, len1) != 1:
-                continue
-            if pooled_count(tails, i, j, len2) != 1:
-                continue
-            return i, j
-    # Reachable for overlapping markers (e.g. one marker inside the other):
-    # every window carrying the second marker then repeats the first, so no
-    # factor can hold both exactly once.
-    raise PreconditionViolation(
-        f"no factor of {s!r} carries markers {p1!r}, {p2!r} reverse-unioccurrently"
+    heads, tails = (
+        sorted({*occ_starts(s, p), *occ_starts(s, p[::-1])}) for p in (p1, p2)
     )
+    len1, len2 = len(p1), len(p2)
+    spans = []
+    prev = -1
+    for t in tails:
+        k = bisect_right(heads, t + len2 - len1)
+        if k and prev < heads[k - 1] <= t:
+            spans.append((t + len2 - heads[k - 1], heads[k - 1]))
+        prev = t
+    if not spans:
+        # Reachable for overlapping markers (e.g. one marker inside the
+        # other): every window carrying the second marker then repeats the
+        # first, so no factor can hold both exactly once.
+        raise PreconditionViolation(
+            f"no factor of {s!r} carries markers {p1!r}, {p2!r} reverse-unioccurrently"
+        )
+    length, i = min(spans)
+    return i, i + length
 
 
 def shortest_marked_factor(w: Word, start: Word, end: Word) -> Word:
@@ -198,6 +190,19 @@ def maximal_reducible(w: Word, floor: int) -> Word:
     return w._wrap("") if pick is None else pick.target
 
 
+def _window_index(idx: PalIndex, scan: dict, i: int, window: Word) -> tuple:
+    """Index and flex scan of ``window``, the factor at ``i`` of the word that
+    ``idx`` and ``scan`` describe. A prefix window pops ``idx`` back and keeps
+    the flexed palindromes first arising within it; any other is re-indexed."""
+    if i > 0:
+        idx = PalIndex.of_word(window)
+        return idx, _flex_scan(window.chars, idx)
+    j = len(window.chars)
+    while len(idx) > j:
+        idx.pop()
+    return idx, {pal: hit for pal, hit in scan.items() if hit[0] <= j}
+
+
 def _assert_markers(res: Word, start: Word, end: Word) -> None:
     s, p1, p2 = res.chars, start.chars, end.chars
     if not (s.startswith(p1) or s.startswith(p1[::-1])):
@@ -234,21 +239,21 @@ def eliminate(w: Word, start: Word, end: Word) -> tuple[Word, EliminationTrace]:
         )
     m = max(len(start.chars), len(end.chars))
     p1, p2 = start.chars, end.chars
-    cap = sum(occ_str(s, pal) for pal in _flex_scan(s, idx))
+    scan = _flex_scan(s, idx)
+    cap = sum(occ_str(s, pal) for pal in scan)
 
     i, j = _marked_span(s, p1, p2)
     res = w[i:j]
     _assert_markers(res, start, end)
+    idx, scan = _window_index(idx, scan, i, res)
     initial = res
     steps: list[EliminationStep] = []
     iterations = 0
     while True:
-        idx = PalIndex.of_word(res)
         if not idx.rich:
             raise InternalInconsistency(
                 f"elimination state {res.chars!r} is not rich"
             )
-        scan = _flex_scan(res.chars, idx)
         pick = _pick_reducible(res, m, idx, scan)
         if pick is None:
             break
@@ -258,12 +263,12 @@ def eliminate(w: Word, start: Word, end: Word) -> tuple[Word, EliminationTrace]:
                 f"elimination of {s!r} exceeded its iteration cap {cap}"
             )
         before = res
-        reduction = _reduce(pick, idx)
-        _guarantee_checks(res, pick.target, scan, reduction)
-        rs = reduction.result.chars
-        i, j = _marked_span(rs, p1, p2)
+        reduction, res_idx, res_scan = _reduce(pick, idx, scan)
+        _guarantee_checks(scan, reduction, res_idx, res_scan)
+        i, j = _marked_span(reduction.result.chars, p1, p2)
         res = reduction.result[i:j]
         _assert_markers(res, start, end)
+        idx, scan = _window_index(res_idx, res_scan, i, res)
         steps.append(
             EliminationStep(
                 before=before,

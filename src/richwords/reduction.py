@@ -283,14 +283,11 @@ def parse(w: Word, r: Word) -> ParseTriple:
     return outcome.parse
 
 
-def _flex_census(chars: str, host: Word) -> set[str]:
-    """The distinct flexed palindromes of a (rich) display string."""
-    idx = PalIndex(host.alphabet)
-    idx.extend(chars)
-    return set(_flex_scan(chars, idx))
-
-
-def _reduce(pair: ReduciblePair, idx: PalIndex) -> ReductionTrace:
+def _reduce(
+    pair: ReduciblePair, idx: PalIndex, scan: dict
+) -> tuple[ReductionTrace, PalIndex, dict]:
+    """The rewrite of ``pair`` from its word's index and scan, with the
+    index and scan of the result, the one index built here."""
     w, r = pair.word, pair.target
     s, t = w.chars, r.chars
     n = len(s)
@@ -355,12 +352,18 @@ def _reduce(pair: ReduciblePair, idx: PalIndex) -> ReductionTrace:
             raise InternalInconsistency(
                 f"closure-case prefix {reduced!r} still contains {t!r}"
             )
+    wrap = w._wrap
+    result = wrap(reduced + tail)
+    res_idx = PalIndex.of_word(result)
+    res_scan = _flex_scan(result.chars, res_idx)
+    if case is ReductionCase.CLOSURE:
         # The closure is a standard extension of the probe, so the pick can
         # never add a flexed palindrome; when the pick extends the whole
         # probe it keeps every one of them. A pick shorter than the probe
-        # may drop some (cutting before their first arising).
-        probe_census = _flex_census(probe, w)
-        pick_census = _flex_census(reduced, w)
+        # may drop some (cutting before their first arising). Probe and pick
+        # are prefixes of w and of the result: cut their scans to length.
+        probe_census = {pal for pal, (k, _) in scan.items() if k <= len(probe)}
+        pick_census = {pal for pal, (k, _) in res_scan.items() if k <= len(reduced)}
         if not pick_census <= probe_census:
             raise InternalInconsistency(
                 f"closure-case prefix {reduced!r} has flexed palindromes "
@@ -385,9 +388,8 @@ def _reduce(pair: ReduciblePair, idx: PalIndex) -> ReductionTrace:
             f"reduced prefix {reduced!r} shares only {i} leading letters with {s!r}"
         )
 
-    wrap = w._wrap
     opt = lambda x: None if x is None else wrap(x)
-    return ReductionTrace(
+    trace = ReductionTrace(
         pair=pair,
         case=case,
         head=wrap(head),
@@ -396,8 +398,9 @@ def _reduce(pair: ReduciblePair, idx: PalIndex) -> ReductionTrace:
         replacement=opt(replacement),
         closure_pick=opt(closure_pick),
         reduced_prefix=wrap(reduced),
-        result=wrap(reduced + tail),
+        result=result,
     )
+    return trace, res_idx, res_scan
 
 
 def reduced_prefix(w: Word, r: Word) -> ReductionTrace:
@@ -408,24 +411,23 @@ def reduced_prefix(w: Word, r: Word) -> ReductionTrace:
     since the construction itself only depends on 1-4. The trace's
     ``result`` field already includes the tail.
     """
-    idx, _, outcome = _evaluate(w, r)
+    idx, scan, outcome = _evaluate(w, r)
     if isinstance(outcome, ReductionRejection):
         raise NotReducible(outcome)
-    return _reduce(outcome, idx)
+    return _reduce(outcome, idx, scan)[0]
 
 
 def _guarantee_checks(
-    w: Word, r: Word, scan: dict[str, tuple[int, str]], trace: ReductionTrace
+    scan: dict, trace: ReductionTrace, res_idx: PalIndex, res_scan: dict
 ) -> None:
-    """The five guarantees of one rewrite; raises on any failure."""
-    s, t = w.chars, r.chars
+    """The five guarantees of one rewrite, given the scan of its word and the
+    index and scan of its result; raises on any failure."""
+    s, t = trace.pair.word.chars, trace.pair.target.chars
     res = trace.result.chars
 
-    res_idx = PalIndex.of_word(trace.result)
     if not res_idx.rich:
         raise InternalInconsistency(f"reduced word {res!r} is not rich")
-    res_scan = _flex_scan(res, res_idx)
-    if not set(res_scan) <= set(scan):
+    if not res_scan.keys() <= scan.keys():
         raise InternalInconsistency(
             f"reduced word {res!r} has new flexed palindromes"
         )
@@ -453,6 +455,6 @@ def reduced_word(w: Word, r: Word) -> tuple[Word, ReductionTrace]:
     idx, scan, outcome = _evaluate(w, r)
     if isinstance(outcome, ReductionRejection):
         raise NotReducible(outcome)
-    trace = _reduce(outcome, idx)
-    _guarantee_checks(w, r, scan, trace)
+    trace, res_idx, res_scan = _reduce(outcome, idx, scan)
+    _guarantee_checks(scan, trace, res_idx, res_scan)
     return trace.result, trace

@@ -60,6 +60,14 @@ def test_check_requires_word_or_file(capsys):
     assert "provide a word" in err
 
 
+def test_check_rejects_word_with_file(tmp_path, capsys):
+    path = tmp_path / "words.txt"
+    path.write_text("q=2\n010\n")
+    code, out, err = run(capsys, "check", "--file", str(path), "0110")
+    assert (code, out) == (2, "")
+    assert err == "error: give a word or --file, not both\n"
+
+
 def test_invalid_letter_is_domain_error(capsys):
     code, _, err = run(capsys, "check", "--q", "2", "012")
     assert code == 1

@@ -1,10 +1,15 @@
 """Marker-preserving trimming, target selection, and the elimination loop."""
 
+import random
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
 from richwords import (
+    Alphabet,
     NotRich,
+    PalIndex,
     PreconditionViolation,
     ReduciblePair,
     check_reducible,
@@ -16,6 +21,7 @@ from richwords import (
     shortest_marked_factor,
     word,
 )
+from richwords.eliminate import _marked_span
 
 W3 = "12145656547745656545656547874"
 W4 = "12145656547874"
@@ -75,6 +81,51 @@ def test_shortest_marked_factor_ordering_matches_window_oracle(rich2):
                 i, j = windows[0]
                 got = shortest_marked_factor(word(s, 2), word(p1, 2), word(p2, 2))
                 assert got.chars == s[i:j], (s, p1, p2)
+
+
+def _letter_canonical_words(q: int, max_len: int):
+    """Every word over q letters up to max_len, one per renaming of letters:
+    letters first appear in alphabet order. The marker trim compares letters
+    only for equality, so these stand for every word of those lengths."""
+    for n in range(1, max_len + 1):
+        for s in oracles.all_words(q, n):
+            firsts = "".join(sorted(set(s), key=s.index))
+            if firsts == oracles.letters(len(firsts)):
+                yield s
+
+
+def test_marked_span_matches_window_oracle_on_arbitrary_factor_markers():
+    # Markers are any factors of length 1-3, so nested and overlapping pairs
+    # (where no window exists) are included. The oracle pools orientations;
+    # the orientation handed to the trim cycles through all four choices.
+    found = undefined = 0
+    for s in _letter_canonical_words(3, 7):
+        classes = sorted(
+            {min(f, f[::-1]) for a in (1, 2, 3) for f in
+             (s[i : i + a] for i in range(len(s) - a + 1))}
+        )
+        for c1 in classes:
+            for c2 in classes:
+                first = next(
+                    (
+                        (i, j)
+                        for i, j in oracles.marked_windows(s, c1, c2)
+                        if (s.startswith(c1, i) or s.startswith(c1[::-1], i))
+                        and (s[i:j].endswith(c2) or s[i:j].endswith(c2[::-1]))
+                    ),
+                    None,
+                )
+                turn = found + undefined
+                p1 = c1[::-1] if turn & 1 else c1
+                p2 = c2[::-1] if turn & 2 else c2
+                if first is None:
+                    undefined += 1
+                    with pytest.raises(PreconditionViolation):
+                        _marked_span(s, p1, p2)
+                else:
+                    found += 1
+                    assert _marked_span(s, p1, p2) == first, (s, p1, p2)
+    assert found > 10_000 and undefined > 10_000
 
 
 def test_shortest_marked_factor_precondition_errors():
@@ -159,6 +210,16 @@ def test_eliminate_single_rewrite_second_example():
     assert [s.target.chars for s in trace.steps] == ["1001"]
 
 
+def test_eliminate_first_trim_inside_the_palindromic_prefix():
+    # The first window 001011 is a prefix of the word, whose longest
+    # palindromic prefix 0010110100 reaches past it: condition 4 must look
+    # at the window's own palindromic prefix, 00, to accept the target 101.
+    res, trace = eliminate(word("00101101001011", 2), word("00", 2), word("11", 2))
+    assert trace.initial.chars == "001011"
+    assert [st.target.chars for st in trace.steps] == ["101"]
+    assert res.chars == "0011"
+
+
 def test_eliminate_zero_iterations_when_trimming_suffices():
     res, trace = eliminate(word(W3), word("121"), word("874"))
     assert trace.iterations == 0 and not trace.steps
@@ -233,3 +294,50 @@ def test_eliminate_loop_invariants_on_corpus(rich2):
                 assert st.reduction.pair.word == st.before
                 assert st.reduction.pair.target == st.target
     assert ran > 500 and rewrote > 5 and undefined > 0
+
+
+@st.composite
+def framed_rich_words(draw):
+    """A random rich word of 50-600 letters over q <= 4 letters, framed by two
+    letters it does not use: (framed word, alphabet size, start, end)."""
+    q = draw(st.integers(1, 4))
+    n = draw(st.integers(50, 600))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    idx = PalIndex(Alphabet(q))
+    for _ in range(n):
+        idx.append(rng.choice(idx.rich_letters()))
+    start, end = oracles.letters(q + 2)[q:]
+    return start + idx.chars + end, q + 2, start, end
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(framed_rich_words())
+def test_eliminate_long_random_words_against_oracles(case):
+    s, q, a, b = case
+    assert oracles.is_rich(s)
+    w, start, end = word(s, q), word(a, q), word(b, q)
+    trimmed = shortest_marked_factor(w, start, end)
+    assert oracles.rev_unioccurrent(trimmed.chars, a)
+    assert oracles.rev_unioccurrent(trimmed.chars, b)
+    res, trace = eliminate(w, start, end)
+    assert trace.initial == trimmed
+    for step in trace.steps:
+        t = step.target.chars
+        rewrite = step.reduction.result.chars
+        assert oracles.occ(rewrite, t) < oracles.occ(step.before.chars, t), (s, t)
+        assert step.after.chars in rewrite, (s, t)
+        assert oracles.is_rich(step.after.chars), (s, t)
+    out = res.chars
+    assert oracles.is_rich(out), s
+    assert out.startswith(a) and out.endswith(b), s
+    assert oracles.rev_unioccurrent(out, a) and oracles.rev_unioccurrent(out, b), s
+    # Markers have length 1, so the floor is 1: what survives above it can
+    # only be a flexed xx that condition 2 keeps the loop from touching.
+    for pal in oracles.flexed(out):
+        assert len(pal) == 1 or (len(pal) == 2 and pal[0] == pal[1]), (s, pal)

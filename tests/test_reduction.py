@@ -7,6 +7,7 @@ from richwords import (
     NotAFlexedPalindrome,
     NotReducible,
     NotRich,
+    PalIndex,
     ReduciblePair,
     ReductionCase,
     ReductionRejection,
@@ -22,6 +23,7 @@ from richwords import (
     standard_replacement,
     word,
 )
+from richwords.reduction import _flex_scan
 
 W1 = "123999322399932442399932255223993"
 W2 = "123999599932239949"
@@ -86,6 +88,27 @@ def test_flexed_palindromes_are_never_prefixes(rich2, rich3):
         for s in corpus:
             for f in flexed_palindromes(word(s, q)):
                 assert not s.startswith(f.palindrome.chars), s
+
+
+def test_prefix_scan_and_popped_index_match_a_fresh_prefix():
+    # The eertree is online: a prefix's flexed-palindrome scan is the whole
+    # word's scan cut at the prefix length, and popping the index back to
+    # that length answers like a fresh index of the prefix. Elimination
+    # shares its indexes between passes on the strength of this.
+    for q, max_len in ((2, 12), (3, 8)):
+        fresh = {}
+        for n in range(max_len + 1):
+            for s in oracles.all_words(q, n):
+                idx = PalIndex.of_word(word(s, q))
+                scan = _flex_scan(s, idx)
+                std = idx.std_letter(n) if n else ""
+                fresh[s] = (scan, idx.rich, idx.lpp_length(), std)
+                for k in range(n - 1, -1, -1):
+                    idx.pop()
+                    want = fresh[s[:k]]
+                    cut = {p: hit for p, hit in scan.items() if hit[0] <= k}
+                    std = idx.std_letter(k) if k else ""
+                    assert (cut, idx.rich, idx.lpp_length(), std) == want, (s, k)
 
 
 def test_flex_record_serialization():
