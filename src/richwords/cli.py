@@ -199,11 +199,7 @@ def _cmd_bound(args) -> _Output:
         args.m, args.q, digit_cap=args.digit_cap, require_exact=args.exact
     )
     ensure_printable(report.digit_cap)
-    growth_log10 = (
-        report.log10_length_bound - 0.30102999566398120
-        if report.log10_length_bound != float("inf")
-        else float("inf")
-    )
+    growth_log10 = report.log10_length_bound - 0.30102999566398120
     plain = [
         f"flex_bound {_format_exact(report.flex_bound, report.log10_flex_bound)}",
         f"length_bound {_format_exact(report.length_bound, report.log10_length_bound)}",

@@ -23,6 +23,7 @@ from .reduction import (
     ReductionTrace,
     _conditions,
     _flex_scan,
+    _move,
     _reduce,
     _guarantee_checks,
 )
@@ -136,13 +137,14 @@ def shortest_marked_factor(w: Word, start: Word, end: Word) -> Word:
     its reverse, and contain each marker (orientations pooled) exactly once;
     ties are broken by length ascending, then start position ascending. The
     word itself must begin and end with the respective markers up to
-    reversal. Factors of a rich word are rich, so the result is rich.
+    reversal. Factors of a rich word are rich, so the result is rich; so are
+    the markers once the word is known to be rich and to carry them, which
+    is why only the word's richness is checked.
     """
     if len(start.chars) == 0 or len(end.chars) == 0:
         raise PreconditionViolation("markers must be nonempty")
-    for label, x in (("word", w), ("start marker", start), ("end marker", end)):
-        if not is_rich(x):
-            raise PreconditionViolation(f"{label} {x.chars!r} is not rich")
+    if not is_rich(w):
+        raise PreconditionViolation(f"word {w.chars!r} is not rich")
     s = w.chars
     p1, p2 = start.chars, end.chars
     if not (s.startswith(p1) or s.startswith(p1[::-1])):
@@ -185,22 +187,9 @@ def maximal_reducible(w: Word, floor: int) -> Word:
     if floor < 1:
         raise PreconditionViolation(f"floor must be a positive integer, got {floor}")
     idx = require_rich(w)
-    scan = _flex_scan(w.chars, idx)
+    scan = _flex_scan(idx)
     pick = _pick_reducible(w, floor, idx, scan)
     return w._wrap("") if pick is None else pick.target
-
-
-def _window_index(idx: PalIndex, scan: dict, i: int, window: Word) -> tuple:
-    """Index and flex scan of ``window``, the factor at ``i`` of the word that
-    ``idx`` and ``scan`` describe. A prefix window pops ``idx`` back and keeps
-    the flexed palindromes first arising within it; any other is re-indexed."""
-    if i > 0:
-        idx = PalIndex.of_word(window)
-        return idx, _flex_scan(window.chars, idx)
-    j = len(window.chars)
-    while len(idx) > j:
-        idx.pop()
-    return idx, {pal: hit for pal, hit in scan.items() if hit[0] <= j}
 
 
 def _assert_markers(res: Word, start: Word, end: Word) -> None:
@@ -239,13 +228,13 @@ def eliminate(w: Word, start: Word, end: Word) -> tuple[Word, EliminationTrace]:
         )
     m = max(len(start.chars), len(end.chars))
     p1, p2 = start.chars, end.chars
-    scan = _flex_scan(s, idx)
+    scan = _flex_scan(idx)
     cap = sum(occ_str(s, pal) for pal in scan)
 
     i, j = _marked_span(s, p1, p2)
     res = w[i:j]
     _assert_markers(res, start, end)
-    idx, scan = _window_index(idx, scan, i, res)
+    scan = _move(idx, scan, res.chars)
     initial = res
     steps: list[EliminationStep] = []
     iterations = 0
@@ -263,12 +252,12 @@ def eliminate(w: Word, start: Word, end: Word) -> tuple[Word, EliminationTrace]:
                 f"elimination of {s!r} exceeded its iteration cap {cap}"
             )
         before = res
-        reduction, res_idx, res_scan = _reduce(pick, idx, scan)
-        _guarantee_checks(scan, reduction, res_idx, res_scan)
+        reduction, res_scan = _reduce(pick, idx, scan)
+        _guarantee_checks(scan, reduction, idx, res_scan)
         i, j = _marked_span(reduction.result.chars, p1, p2)
         res = reduction.result[i:j]
         _assert_markers(res, start, end)
-        idx, scan = _window_index(res_idx, res_scan, i, res)
+        scan = _move(idx, res_scan, res.chars)
         steps.append(
             EliminationStep(
                 before=before,

@@ -9,20 +9,20 @@ reaches the palindromic closure of w.
 
 from __future__ import annotations
 
-from .errors import LengthViolation, NotAPrefix, NotRich
+from .errors import LengthViolation, NotAPrefix
 from .palindromes import PalIndex, require_rich
 from .words import Word
 
 __all__ = ["std_ext", "is_std_ext", "max_std_ext", "rich_extensions"]
 
 
-def _require_extendable(idx: PalIndex, w: Word) -> None:
-    if not idx.rich:
-        raise NotRich(f"{w.chars!r} is not rich")
+def _require_extendable(w: Word) -> PalIndex:
+    idx = require_rich(w)
     if len(w.chars) < 2:
         raise LengthViolation(
             f"standard extension needs length >= 2, got {len(w.chars)}"
         )
+    return idx
 
 
 def std_ext(w: Word, steps: int = 1) -> Word:
@@ -30,8 +30,7 @@ def std_ext(w: Word, steps: int = 1) -> Word:
 
     ``steps=0`` returns ``w`` itself. Requires ``w`` rich and |w| >= 2.
     """
-    idx = PalIndex.of_word(w)
-    _require_extendable(idx, w)
+    idx = _require_extendable(w)
     if steps < 0:
         raise LengthViolation(f"step count must be >= 0, got {steps}")
     out = list(w.chars)
@@ -48,8 +47,7 @@ def is_std_ext(u: Word, v: Word) -> bool:
     True when v is a prefix of u and every letter of u beyond v is the
     standard one. Requires ``v`` rich and |v| >= 2.
     """
-    idx = PalIndex.of_word(v)
-    _require_extendable(idx, v)
+    idx = _require_extendable(v)
     if not u.chars.startswith(v.chars):
         return False
     for k in range(len(v.chars), len(u.chars)):
@@ -67,8 +65,7 @@ def max_std_ext(u: Word, v: Word) -> Word:
     """
     if not u.chars.startswith(v.chars):
         raise NotAPrefix(f"{v.chars!r} is not a prefix of {u.chars!r}")
-    idx = PalIndex.of_word(v)
-    _require_extendable(idx, v)
+    idx = _require_extendable(v)
     k = len(v.chars)
     s = u.chars
     while k < len(s) and s[k] == idx.std_letter(k):

@@ -25,7 +25,7 @@ from .errors import (
     NotAFlexedPalindrome,
 )
 from .palindromes import PalIndex, is_rich, require_rich
-from .words import Word, occ_starts, occ_str
+from .words import Word, common_prefix_len, occ_starts, occ_str
 
 __all__ = [
     "FlexRecord",
@@ -154,17 +154,24 @@ class ReductionTrace:
         }
 
 
-def _flex_scan(s: str, idx: PalIndex) -> dict[str, tuple[int, str]]:
-    """Map flexed palindrome -> (first arising position, standard replacement).
+def _cut(scan: dict, j: int) -> dict:
+    """A flex scan cut to the length-j prefix: that prefix's own scan."""
+    return {pal: hit for pal, hit in scan.items() if hit[0] <= j}
 
-    The very first letter is never a flexed step; a one-letter prefix extends
-    standardly only by its own letter.
+
+def _flex_scan(idx: PalIndex, scan: dict | None = None, keep: int = 0) -> dict:
+    """Map flexed palindrome -> (first arising position, standard replacement)
+    for the word in ``idx``, as a new dict.
+
+    ``scan`` is the map of a word sharing the length-``keep`` prefix: its
+    entries arising there are kept, and only the steps beyond are scanned.
+    The very first letter is never a flexed step; a one-letter prefix
+    extends standardly only by its own letter.
     """
-    lens = idx._len
-    slink = idx._slink
-    nodes = idx._lps_node
-    out: dict[str, tuple[int, str]] = {}
-    for k in range(2, len(s) + 1):
+    s = idx.chars
+    lens, slink, nodes = idx._len, idx._slink, idx._lps_node
+    out = _cut(scan, keep) if keep else {}
+    for k in range(max(2, keep + 1), len(s) + 1):
         u_node = nodes[k - 2]
         plen = lens[u_node]
         if plen == k - 1:
@@ -177,13 +184,27 @@ def _flex_scan(s: str, idx: PalIndex) -> dict[str, tuple[int, str]]:
     return out
 
 
+def _move(idx: PalIndex, scan: dict, chars: str) -> dict:
+    """Turn ``idx``, the index of a word with flex scan ``scan``, into the
+    index of ``chars`` and return the scan of ``chars``; ``scan`` is unchanged.
+
+    The eertree is online: popping back to the common prefix and appending
+    the rest gives what a fresh build would, and only the rest is rescanned.
+    """
+    keep = common_prefix_len(idx._chars, chars)
+    while len(idx) > keep:
+        idx.pop()
+    idx.extend(chars[keep:])
+    return _flex_scan(idx, scan, keep)
+
+
 def flexed_palindromes(w: Word) -> tuple[FlexRecord, ...]:
     """All flexed palindromes of the rich word ``w``, in arising order.
 
     One record per distinct palindrome; repeats keep the first position.
     """
     idx = require_rich(w)
-    scan = _flex_scan(w.chars, idx)
+    scan = _flex_scan(idx)
     records = [
         FlexRecord(w._wrap(pal), pos, w._wrap(rep)) for pal, (pos, rep) in scan.items()
     ]
@@ -198,7 +219,7 @@ def standard_replacement(w: Word, r: Word) -> Word:
     palindrome of the rich word ``w``.
     """
     idx = require_rich(w)
-    scan = _flex_scan(w.chars, idx)
+    scan = _flex_scan(idx)
     hit = scan.get(r.chars)
     if hit is None:
         raise NotAFlexedPalindrome(
@@ -251,7 +272,7 @@ def _evaluate(w: Word, r: Word):
         return idx, None, ReductionRejection(1, "word is not rich")
     if not is_rich(r):
         return idx, None, ReductionRejection(1, "palindrome is not rich")
-    scan = _flex_scan(w.chars, idx)
+    scan = _flex_scan(idx)
     return idx, scan, _conditions(w, r, idx, scan)
 
 
@@ -285,12 +306,11 @@ def parse(w: Word, r: Word) -> ParseTriple:
 
 def _reduce(
     pair: ReduciblePair, idx: PalIndex, scan: dict
-) -> tuple[ReductionTrace, PalIndex, dict]:
-    """The rewrite of ``pair`` from its word's index and scan, with the
-    index and scan of the result, the one index built here."""
+) -> tuple[ReductionTrace, dict]:
+    """The rewrite of ``pair`` from its word's index and scan, with the scan
+    of the result. Moves ``idx`` to the result; ``scan`` stays the word's."""
     w, r = pair.word, pair.target
     s, t = w.chars, r.chars
-    n = len(s)
     p = pair.parse
     v, z, tail = p.span.chars, p.forced.chars, p.tail.chars
 
@@ -354,16 +374,15 @@ def _reduce(
             )
     wrap = w._wrap
     result = wrap(reduced + tail)
-    res_idx = PalIndex.of_word(result)
-    res_scan = _flex_scan(result.chars, res_idx)
+    res_scan = _move(idx, scan, result.chars)
     if case is ReductionCase.CLOSURE:
         # The closure is a standard extension of the probe, so the pick can
         # never add a flexed palindrome; when the pick extends the whole
         # probe it keeps every one of them. A pick shorter than the probe
         # may drop some (cutting before their first arising). Probe and pick
         # are prefixes of w and of the result: cut their scans to length.
-        probe_census = {pal for pal, (k, _) in scan.items() if k <= len(probe)}
-        pick_census = {pal for pal, (k, _) in res_scan.items() if k <= len(reduced)}
+        probe_census = _cut(scan, len(probe)).keys()
+        pick_census = _cut(res_scan, len(reduced)).keys()
         if not pick_census <= probe_census:
             raise InternalInconsistency(
                 f"closure-case prefix {reduced!r} has flexed palindromes "
@@ -379,10 +398,7 @@ def _reduce(
         raise InternalInconsistency(
             f"reduced prefix {reduced!r} does not end with ltrim(target)+forced"
         )
-    limit = min(len(reduced), n)
-    i = 0
-    while i < limit and reduced[i] == s[i]:
-        i += 1
+    i = common_prefix_len(reduced, s)
     if i < len(t) - 1:
         raise InternalInconsistency(
             f"reduced prefix {reduced!r} shares only {i} leading letters with {s!r}"
@@ -400,7 +416,7 @@ def _reduce(
         reduced_prefix=wrap(reduced),
         result=result,
     )
-    return trace, res_idx, res_scan
+    return trace, res_scan
 
 
 def reduced_prefix(w: Word, r: Word) -> ReductionTrace:
@@ -455,6 +471,6 @@ def reduced_word(w: Word, r: Word) -> tuple[Word, ReductionTrace]:
     idx, scan, outcome = _evaluate(w, r)
     if isinstance(outcome, ReductionRejection):
         raise NotReducible(outcome)
-    trace, res_idx, res_scan = _reduce(outcome, idx, scan)
-    _guarantee_checks(scan, trace, res_idx, res_scan)
+    trace, res_scan = _reduce(outcome, idx, scan)
+    _guarantee_checks(scan, trace, idx, res_scan)
     return trace.result, trace

@@ -121,48 +121,46 @@ def _walk(
     ``idx`` is walked in place and is back at its starting word once the
     stream is exhausted.
     """
-    prefix = list(idx.chars)
-    root = len(prefix)
+    root = len(idx)
     if root >= max_length:
         return
     letters = idx.alphabet.letters
-    used = [len(set(prefix))] if canonical else None
+    used = [len(set(idx.chars))] if canonical else None
 
-    def children() -> Iterator[str]:
+    def children(k: int) -> Iterator[str]:
         out = idx.rich_letters()
         if canonical and used[-1] < len(letters):
             # letters are in display order, so the allowed ones are a prefix
             out = out[: bisect_right(out, letters[used[-1]])]
-        if std_first and prefix:
-            std = idx.std_letter(len(prefix))
+        if std_first and k:
+            std = idx.std_letter(k)
             if std in out:
                 out = std + out.replace(std, "")
         return iter(out)
 
-    stack = [children()]
+    # one iterator per level, so idx holds root + len(stack) - 1 letters
+    stack = [children(root)]
     while stack:
         ch = next(stack[-1], "")
         if not ch:
             stack.pop()
-            if len(prefix) > root:
-                prefix.pop()
+            if stack:
                 idx.pop()
                 if canonical:
                     used.pop()
             continue
         if not idx.append(ch):
             raise InternalInconsistency(
-                f"rich extension {ch!r} of {''.join(prefix)!r} created no palindrome"
+                f"rich extension {ch!r} of {idx.chars[:-1]!r} created no palindrome"
             )
-        prefix.append(ch)
-        yield "".join(prefix)
-        if len(prefix) < max_length:
+        yield idx.chars
+        k = root + len(stack)
+        if k < max_length:
             if canonical:
                 n = used[-1]
                 used.append(n + 1 if n < len(letters) and ch == letters[n] else n)
-            stack.append(children())
+            stack.append(children(k))
         else:
-            prefix.pop()
             idx.pop()
 
 

@@ -178,15 +178,18 @@ def _check_same_alphabet(u: Word, v: Word) -> None:
         )
 
 
+def common_prefix_len(a, b) -> int:
+    """Length of the longest common prefix of two letter sequences."""
+    i, n = 0, min(len(a), len(b))
+    while i < n and a[i] == b[i]:
+        i += 1
+    return i
+
+
 def lcp(u: Word, v: Word) -> Word:
     """Longest common prefix of two words over the same alphabet."""
     _check_same_alphabet(u, v)
-    a, b = u.chars, v.chars
-    n = min(len(a), len(b))
-    i = 0
-    while i < n and a[i] == b[i]:
-        i += 1
-    return u._wrap(a[:i])
+    return u._wrap(u.chars[: common_prefix_len(u.chars, v.chars)])
 
 
 def lcs(u: Word, v: Word) -> Word:

@@ -138,6 +138,11 @@ def test_shortest_marked_factor_precondition_errors():
     bad = next(s for s in oracles.all_words(2, 8) if not oracles.is_rich(s))
     with pytest.raises(PreconditionViolation):
         shortest_marked_factor(word(bad, 2), word(bad[:1], 2), word(bad[-1:], 2))
+    # A rich word cannot begin or end with a non-rich marker.
+    with pytest.raises(PreconditionViolation, match="does not begin with"):
+        shortest_marked_factor(word("010", 2), word(bad, 2), word("0", 2))
+    with pytest.raises(PreconditionViolation, match="does not end with"):
+        shortest_marked_factor(word("010", 2), word("0", 2), word(bad, 2))
 
 
 def test_shortest_marked_factor_can_be_undefined_for_nested_markers():

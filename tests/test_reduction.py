@@ -1,9 +1,13 @@
 """Flexed palindromes and the occurrence-reducing rewrite."""
 
+import random
+
 import pytest
 
 import oracles
 from richwords import (
+    Alphabet,
+    InternalInconsistency,
     NotAFlexedPalindrome,
     NotReducible,
     NotRich,
@@ -23,7 +27,7 @@ from richwords import (
     standard_replacement,
     word,
 )
-from richwords.reduction import _flex_scan
+from richwords.reduction import _flex_scan, _move
 
 W1 = "123999322399932442399932255223993"
 W2 = "123999599932239949"
@@ -90,25 +94,80 @@ def test_flexed_palindromes_are_never_prefixes(rich2, rich3):
                 assert not s.startswith(f.palindrome.chars), s
 
 
+def _index_view(idx, scan):
+    """What the pipeline reads of an index and its flex scan, key order kept."""
+    n = len(idx)
+    return (
+        list(scan.items()),
+        idx.rich,
+        idx.lpp_length(),
+        [idx.lps_length(k) for k in range(n + 1)],
+        [idx.std_letter(k) for k in range(1, n + 1)],
+    )
+
+
+def _random_rich(idx, n, rng):
+    """Grow the rich word held in ``idx`` by random rich letters to length n."""
+    while len(idx) < n:
+        idx.append(rng.choice(idx.rich_letters()))
+    return idx.chars
+
+
 def test_prefix_scan_and_popped_index_match_a_fresh_prefix():
-    # The eertree is online: a prefix's flexed-palindrome scan is the whole
-    # word's scan cut at the prefix length, and popping the index back to
-    # that length answers like a fresh index of the prefix. Elimination
-    # shares its indexes between passes on the strength of this.
+    # The eertree is online: popping an index back to the common prefix of
+    # two words and appending the rest answers like a fresh index of the
+    # second word, and the first word's flexed-palindrome scan cut at that
+    # prefix, extended beyond it, is the second word's scan. Elimination
+    # moves one index from word to word on the strength of this; the scan
+    # passed in stays the first word's.
     for q, max_len in ((2, 12), (3, 8)):
+        # Every word, rich or not, popped back to every prefix length.
         fresh = {}
         for n in range(max_len + 1):
             for s in oracles.all_words(q, n):
                 idx = PalIndex.of_word(word(s, q))
-                scan = _flex_scan(s, idx)
-                std = idx.std_letter(n) if n else ""
-                fresh[s] = (scan, idx.rich, idx.lpp_length(), std)
+                scan = _flex_scan(idx)
+                before = list(scan.items())
+                fresh[s] = _index_view(idx, scan)
                 for k in range(n - 1, -1, -1):
                     idx.pop()
-                    want = fresh[s[:k]]
-                    cut = {p: hit for p, hit in scan.items() if hit[0] <= k}
-                    std = idx.std_letter(k) if k else ""
-                    assert (cut, idx.rich, idx.lpp_length(), std) == want, (s, k)
+                    cut = _flex_scan(idx, scan, k)
+                    assert _index_view(idx, cut) == fresh[s[:k]], (s, k)
+                assert list(scan.items()) == before, s
+    for q, max_len in ((2, 7), (3, 5)):
+        words = [s for n in range(max_len + 1) for s in oracles.all_words(q, n)]
+        fresh = {}
+        for s in words:
+            idx = PalIndex.of_word(word(s, q))
+            fresh[s] = _index_view(idx, _flex_scan(idx))
+        # Moving to b and back covers the ordered pairs (a, b) and (b, a).
+        for i, a in enumerate(words):
+            idx = PalIndex.of_word(word(a, q))
+            scan = _flex_scan(idx)
+            for b in words[i:]:
+                moved = _move(idx, scan, b)
+                assert _index_view(idx, moved) == fresh[b], (a, b)
+                assert list(scan.items()) == fresh[a][0], (a, b)
+                back = _move(idx, moved, a)
+                assert _index_view(idx, back) == fresh[a], (b, a)
+                assert list(moved.items()) == fresh[b][0], (b, a)
+    # Long rich words sharing a prefix of random length.
+    rng = random.Random(11)
+    for _ in range(60):
+        q = rng.randint(2, 4)
+        grow = PalIndex(Alphabet(q))
+        a = _random_rich(grow, rng.randint(50, 600), rng)
+        keep = rng.randint(0, len(a))
+        while len(grow) > keep:
+            grow.pop()
+        b = _random_rich(grow, rng.randint(keep, 600), rng)
+        idx = PalIndex.of_word(word(a, q))
+        scan = _flex_scan(idx)
+        before = list(scan.items())
+        moved = _move(idx, scan, b)
+        new = PalIndex.of_word(word(b, q))
+        assert _index_view(idx, moved) == _index_view(new, _flex_scan(new)), (a, b)
+        assert list(scan.items()) == before, (a, b)
 
 
 def test_flex_record_serialization():
@@ -323,6 +382,11 @@ def test_rewrite_rejects_conditions_one_to_four_only():
     assert not trace.pair.maximal
     assert res.chars == "12399932255223993"
     assert is_rich(res)
+    # A non-maximal rewrite whose result gains a flexed palindrome is
+    # reported by the guarantee checks, not returned.
+    assert not set(oracles.flexed("001101101")) <= set(oracles.flexed("0011101101"))
+    with pytest.raises(InternalInconsistency, match="new flexed palindromes"):
+        reduced_word(word("0011101101", 2), word("111", 2))
 
 
 def all_accepted_pairs(corpus, q, require_maximal):
