@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import PreconditionViolation, ResourceLimit
+from .words import _Record
 
 __all__ = [
     "DEFAULT_DIGIT_CAP",
@@ -107,7 +108,7 @@ def _log10_pow2(exponent: int, factor: int) -> float:
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """Exact and estimated bounds for one (marker length, alphabet) pair.
 
     ``flex_bound`` is the flexed-palindrome count bound, ``length_bound`` the
@@ -130,18 +131,6 @@ class BoundReport:
     log10_flex_bound: float
     log10_length_bound: float
     digit_cap: int
-
-    def to_record(self) -> dict:
-        return {
-            "marker_length": self.marker_length,
-            "alphabet_size": self.alphabet_size,
-            "flex_bound": self.flex_bound,
-            "length_bound": self.length_bound,
-            "growth_bound": self.growth_bound,
-            "log10_flex_bound": self.log10_flex_bound,
-            "log10_length_bound": self.log10_length_bound,
-            "digit_cap": self.digit_cap,
-        }
 
 
 def superword_length_bound(

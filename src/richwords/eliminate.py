@@ -27,7 +27,7 @@ from .reduction import (
     _reduce,
     _guarantee_checks,
 )
-from .words import Word, occ_starts, occ_str
+from .words import Word, _Record, occ_starts, occ_str
 
 __all__ = [
     "EliminationStep",
@@ -55,7 +55,7 @@ def reverse_unioccurrent(w: Word, u: Word) -> bool:
 
 
 @dataclass(frozen=True)
-class EliminationStep:
+class EliminationStep(_Record):
     """One loop pass: the rewrite at ``target`` followed by re-trimming."""
 
     before: Word
@@ -63,17 +63,9 @@ class EliminationStep:
     reduction: ReductionTrace
     after: Word
 
-    def to_record(self) -> dict:
-        return {
-            "before": self.before.chars,
-            "target": self.target.chars,
-            "reduction": self.reduction.to_record(),
-            "after": self.after.chars,
-        }
-
 
 @dataclass(frozen=True)
-class EliminationTrace:
+class EliminationTrace(_Record):
     """Full history of one elimination run."""
 
     word: Word
@@ -83,17 +75,6 @@ class EliminationTrace:
     steps: tuple[EliminationStep, ...]
     final: Word
     iterations: int
-
-    def to_record(self) -> dict:
-        return {
-            "word": self.word.chars,
-            "start": self.start.chars,
-            "end": self.end.chars,
-            "initial": self.initial.chars,
-            "steps": [step.to_record() for step in self.steps],
-            "final": self.final.chars,
-            "iterations": self.iterations,
-        }
 
 
 def _marked_span(s: str, p1: str, p2: str) -> tuple[int, int]:

@@ -287,15 +287,7 @@ def pal_factors(w: Word) -> set[Word]:
 
 def pal_factors_avoiding(w: Word, r: Word) -> set[Word]:
     """Palindromic factors of ``w`` in which ``r`` does not occur."""
-    target = r.chars
-    if not target:
-        return set()
-    idx = PalIndex.of_word(w)
-    out = {w._wrap("")}
-    for p in idx.iter_palindromes():
-        if target not in p:
-            out.add(w._wrap(p))
-    return out
+    return {p for p in pal_factors(w) if r.chars not in p.chars}
 
 
 def is_rich(w: Word) -> bool:

@@ -25,7 +25,7 @@ from .errors import (
     NotAFlexedPalindrome,
 )
 from .palindromes import PalIndex, is_rich, require_rich
-from .words import Word, common_prefix_len, occ_starts, occ_str
+from .words import Word, _Record, common_prefix_len, occ_starts, occ_str
 
 __all__ = [
     "FlexRecord",
@@ -44,23 +44,16 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FlexRecord:
+class FlexRecord(_Record):
     """A flexed palindrome, where it first arises, and its standard replacement."""
 
     palindrome: Word
     position: int  # length of the prefix whose final step is the flexed one
     replacement: Word
 
-    def to_record(self) -> dict:
-        return {
-            "palindrome": self.palindrome.chars,
-            "position": self.position,
-            "replacement": self.replacement.chars,
-        }
-
 
 @dataclass(frozen=True)
-class ParseTriple:
+class ParseTriple(_Record):
     """Split of a word around the last occurrence of a reducible palindrome.
 
     ``span`` is the shortest prefix containing every occurrence of the
@@ -72,16 +65,9 @@ class ParseTriple:
     forced: Word
     tail: Word
 
-    def to_record(self) -> dict:
-        return {
-            "span": self.span.chars,
-            "forced": self.forced.chars,
-            "tail": self.tail.chars,
-        }
-
 
 @dataclass(frozen=True)
-class ReduciblePair:
+class ReduciblePair(_Record):
     """A word with a flexed palindrome the rewrite machinery can act on.
 
     ``maximal`` records whether the target also has maximal length among the
@@ -114,7 +100,7 @@ class ReductionCase(Enum):
 
 
 @dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(_Record):
     """Every intermediate of one occurrence-reducing rewrite.
 
     ``head`` is the part of the word before the mirrored forced run and the
@@ -137,21 +123,9 @@ class ReductionTrace:
     result: Word
 
     def to_record(self) -> dict:
-        opt = lambda w: None if w is None else w.chars
-        return {
-            "word": self.pair.word.chars,
-            "target": self.pair.target.chars,
-            "parse": self.pair.parse.to_record(),
-            "maximal": self.pair.maximal,
-            "case": self.case.value,
-            "head": self.head.chars,
-            "complete_return": opt(self.complete_return),
-            "lead": opt(self.lead),
-            "replacement": opt(self.replacement),
-            "closure_pick": opt(self.closure_pick),
-            "reduced_prefix": self.reduced_prefix.chars,
-            "result": self.result.chars,
-        }
+        """The pair's fields lead, flattened; the other fields follow."""
+        record = super().to_record()
+        return {**record.pop("pair"), **record}
 
 
 def _cut(scan: dict, j: int) -> dict:
@@ -270,9 +244,10 @@ def _evaluate(w: Word, r: Word):
     idx = PalIndex.of_word(w)
     if not idx.rich:
         return idx, None, ReductionRejection(1, "word is not rich")
-    if not is_rich(r):
-        return idx, None, ReductionRejection(1, "palindrome is not rich")
     scan = _flex_scan(idx)
+    # A target in the scan is a factor of the rich word, hence rich.
+    if r.chars not in scan and not is_rich(r):
+        return idx, scan, ReductionRejection(1, "palindrome is not rich")
     return idx, scan, _conditions(w, r, idx, scan)
 
 
@@ -355,9 +330,7 @@ def _reduce(
             raise InternalInconsistency(
                 f"first occurrence of {t!r} in {s!r} is not at the core"
             )
-        plen = idx.lpps_length(arise - 1)
-        std = s[arise - 2 - plen]
-        replacement = std + s[arise - 1 - plen : arise - 1] + std
+        replacement = scan[t][1]
         probe_lps = idx.lps_length(len(probe))
         closure = probe + probe[: len(probe) - probe_lps][::-1]
         need = t[1:] + z

@@ -25,7 +25,7 @@ from typing import Iterator
 
 from .errors import AlphabetMismatch, InternalInconsistency, PreconditionViolation
 from .palindromes import PalIndex, is_rich, pal_closure, require_rich
-from .words import Alphabet, Word
+from .words import Alphabet, Word, _Record
 
 __all__ = [
     "EnumConfig",
@@ -60,7 +60,7 @@ class EnumConfig:
 
 
 @dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(_Record):
     """Hard limits for the superword search: longest word tried and total
     tree nodes visited across all deepening rounds."""
 
@@ -84,7 +84,7 @@ class SearchStatus(Enum):
 
 
 @dataclass(frozen=True)
-class SearchVerdict:
+class SearchVerdict(_Record):
     """Outcome of one search: a verified witness, or an honest "not decided"
     after the budget ran out. ``explored`` counts tree nodes visited."""
 
@@ -92,17 +92,6 @@ class SearchVerdict:
     witness: Word | None
     explored: int
     budget: SearchBudget
-
-    def to_record(self) -> dict:
-        return {
-            "status": self.status.value,
-            "witness": None if self.witness is None else self.witness.chars,
-            "explored": self.explored,
-            "budget": {
-                "max_length": self.budget.max_length,
-                "max_nodes": self.budget.max_nodes,
-            },
-        }
 
 
 # -- the tree walk --------------------------------------------------------

@@ -6,10 +6,15 @@ A word is an immutable sequence of symbols drawn from an alphabet of size q
 "110101100110011". Internally a word stores exactly that display string,
 which keeps factor tests, occurrence counting, and reversal on the fast
 C-level string paths.
+
+The module also holds ``_Record``, the serializer the result dataclasses
+share.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+from enum import Enum
 from typing import Iterator
 
 from .errors import (
@@ -75,11 +80,6 @@ class Word:
         self.chars = chars
         self.alphabet = alphabet
 
-    @property
-    def symbols(self) -> tuple[int, ...]:
-        """Symbol indices, one per position."""
-        return tuple(_SYMBOL_OF[ch] for ch in self.chars)
-
     def _wrap(self, chars: str) -> "Word":
         w = Word.__new__(Word)
         w.chars = chars
@@ -123,6 +123,27 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({self.chars!r}, q={self.alphabet.size})"
+
+
+class _Record:
+    """Mixin for result dataclasses: ``to_record()`` is a JSON-ready dict of
+    the fields in declaration order. A word becomes its letters, an enum its
+    value, a tuple a list, and a nested result its own ``to_record()``."""
+
+    def to_record(self) -> dict:
+        return {f.name: _record_value(getattr(self, f.name)) for f in fields(self)}
+
+
+def _record_value(value):
+    if isinstance(value, Word):
+        return value.chars
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_record_value(v) for v in value]
+    if isinstance(value, _Record):
+        return value.to_record()
+    return value
 
 
 def word(text: str, q: int | None = None) -> Word:

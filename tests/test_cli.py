@@ -5,6 +5,7 @@ import json
 import pytest
 
 import oracles
+from richwords.bounds import ensure_printable
 from richwords.cli import build_parser, main
 
 W1 = "123999322399932442399932255223993"
@@ -324,6 +325,30 @@ REDUCE_TRACE = (
     '"head": "1", "complete_return": null, "lead": null, "replacement": "3993", '
     '"closure_pick": "1239932", "reduced_prefix": "1239932", "result": "1239932239949"}\n'
 )
+ELIMINATE_TRACE = (
+    '{"word": "000000001011", "start": "00", "end": "11", "initial": "001011", '
+    '"steps": [{"before": "001011", "target": "101", "reduction": {"word": "001011", '
+    '"target": "101", "parse": {"span": "00101", "forced": "", "tail": "1"}, '
+    '"maximal": true, "case": "closure", "head": "00", "complete_return": null, '
+    '"lead": null, "replacement": "00100", "closure_pick": "001", "reduced_prefix": "001", '
+    '"result": "0011"}, "after": "0011"}], "final": "0011", "iterations": 1}\n'
+)
+
+
+def _bound_m2_q2() -> str:
+    """The ``bound --m 2 --q 2`` JSON line. Its exact bounds 2 << 98306 and
+    2 << 98305 run to 29,594 digits, so they are rendered here rather than
+    spelled out. Rendering them needs the interpreter's int-to-str digit
+    guard lifted; the test calls this only after the command has run, so the
+    command still has to lift the guard itself."""
+    ensure_printable(29_600)
+    return (
+        '{"marker_length": 2, "alphabet_size": 2, "flex_bound": 98304, '
+        f'"length_bound": {2 << 98306}, "growth_bound": {2 << 98305}, '
+        '"log10_flex_bound": 4.9925711896793805, "log10_length_bound": 29593.355783738996, '
+        '"digit_cap": 100000}\n'
+    )
+
 
 PINNED = [
     pytest.param(
@@ -383,6 +408,20 @@ PINNED = [
     pytest.param(
         ["flexed", "--format", "json", ""], '{"word": "", "flexed": []}\n', id="flexed-empty-json"
     ),
+    pytest.param(
+        ["eliminate", "--trace", "--q", "2", "000000001011", "00", "11"],
+        ELIMINATE_TRACE,
+        id="eliminate-trace",
+    ),
+    pytest.param(
+        ["search", "--format", "json", "--q", "2", "00", "11"],
+        '{"status": "witness", "witness": "0011", "explored": 28, '
+        '"budget": {"max_length": 4, "max_nodes": 1000000}}\n',
+        id="search-json",
+    ),
+    pytest.param(
+        ["bound", "--format", "json", "--m", "2", "--q", "2"], _bound_m2_q2, id="bound-json"
+    ),
 ]
 
 
@@ -391,7 +430,8 @@ def test_pinned_stdout(argv, expected, tmp_path, capsys):
     path = tmp_path / "words.txt"
     path.write_text(f"q=2\n010\n\n{NOT_RICH}\n")
     argv = [str(path) if a is WORDS_FILE else a for a in argv]
-    assert run(capsys, *argv) == (0, expected, "")
+    result = run(capsys, *argv)
+    assert result == (0, expected() if callable(expected) else expected, "")
 
 
 # -- hostile input ---------------------------------------------------------------------
