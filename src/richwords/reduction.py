@@ -143,6 +143,8 @@ def _flex_scan(idx: PalIndex, scan: dict | None = None, keep: int = 0) -> dict:
     extends standardly only by its own letter.
     """
     s = idx.chars
+    # The index's lists are read directly: calling lpps_length/lps_length
+    # per step cost 10-27 % of long-elimination throughput.
     lens, slink, nodes = idx._len, idx._slink, idx._lps_node
     out = _cut(scan, keep) if keep else {}
     for k in range(max(2, keep + 1), len(s) + 1):

@@ -4,7 +4,10 @@ Every prefix of a rich word is rich, so the rich words over a fixed
 alphabet form a tree rooted at the empty word in which children append one
 letter. One walker, ``_walk``, streams this tree depth-first with an
 incrementally maintained palindrome index, backtracking in O(1) per edge.
-It keeps an explicit stack, so walks are as deep as memory allows.
+A node's children are its candidate letters, each tried by appending it to
+the index: a word stays rich exactly when the append creates a palindrome,
+and a letter whose append creates none is popped again. The walker keeps an
+explicit stack, so walks are as deep as memory allows.
 
 The common-superword search asks: is there a rich word containing two given
 rich words as factors? It walks the same tree with iterative deepening on
@@ -18,7 +21,6 @@ budget means "not decided", never "no".
 from __future__ import annotations
 
 import multiprocessing
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -103,12 +105,14 @@ def _walk(
     """Preorder stream of the strict descendants, up to ``max_length``, of
     the word held in ``idx``.
 
-    An explicit stack keeps one iterator over the node's rich letters per
-    level, so depth is bounded by memory, not by the interpreter's recursion
-    limit. Children come in display order; with ``canonical`` a letter may
-    not skip an unused one, and with ``std_first`` the standard letter leads.
-    ``idx`` is walked in place and is back at its starting word once the
-    stream is exhausted.
+    An explicit stack keeps one iterator over the node's candidate letters
+    per level, so depth is bounded by memory, not by the interpreter's
+    recursion limit. Candidates come in display order; with ``canonical`` a
+    letter may not skip an unused one, and with ``std_first`` the standard
+    letter leads. Each candidate is appended to ``idx``; one whose append
+    creates no palindrome leaves a word that is not rich, so it is popped
+    and skipped. ``idx`` is walked in place and is back at its starting word
+    once the stream is exhausted.
     """
     root = len(idx)
     if root >= max_length:
@@ -117,14 +121,11 @@ def _walk(
     used = [len(set(idx.chars))] if canonical else None
 
     def children(k: int) -> Iterator[str]:
-        out = idx.rich_letters()
-        if canonical and used[-1] < len(letters):
-            # letters are in display order, so the allowed ones are a prefix
-            out = out[: bisect_right(out, letters[used[-1]])]
+        out = letters[: used[-1] + 1] if canonical else letters
         if std_first and k:
+            # the standard letter occurs in the word, so it is a candidate
             std = idx.std_letter(k)
-            if std in out:
-                out = std + out.replace(std, "")
+            out = std + out.replace(std, "")
         return iter(out)
 
     # one iterator per level, so idx holds root + len(stack) - 1 letters
@@ -139,9 +140,8 @@ def _walk(
                     used.pop()
             continue
         if not idx.append(ch):
-            raise InternalInconsistency(
-                f"rich extension {ch!r} of {idx.chars[:-1]!r} created no palindrome"
-            )
+            idx.pop()
+            continue
         yield idx.chars
         k = root + len(stack)
         if k < max_length:

@@ -251,6 +251,17 @@ def test_index_rich_letters_match_oracle(rich2):
         assert set(idx.rich_letters()) == set(oracles.rich_letters(s, 2)), s
 
 
+def _index_state(idx):
+    n = len(idx)
+    return (
+        idx.chars,
+        idx.distinct_palindromes,
+        [idx.lps_length(k) for k in range(n + 1)],
+        [idx.std_letter(k) for k in range(1, n + 1)],
+        list(idx.iter_palindromes()),
+    )
+
+
 def test_index_pop_restores_every_statistic():
     rng = random.Random(20260814)
     idx = PalIndex.of_word(word("", 3))
@@ -275,7 +286,10 @@ def test_index_pop_restores_every_statistic():
             assert idx.lps_is_new(k) == fresh.lps_is_new(k)
         assert idx.lpp_length() == fresh.lpp_length()
         assert list(idx.iter_palindromes()) == list(fresh.iter_palindromes())
+        # rich_letters appends and pops each letter: the index must come back
+        state = _index_state(idx)
         assert idx.rich_letters() == fresh.rich_letters()
+        assert _index_state(idx) == state
 
 
 def test_prefix_queries_reject_out_of_range_lengths():

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
 from richwords import (
@@ -421,6 +422,43 @@ def test_rewrite_guarantees_hold_on_the_small_corpus(rich2, rich3):
     # words — the acceptance sweep covers both at depth).
     assert cases > 200
     assert by_case["closure"] > 0
+
+
+@st.composite
+def long_rich_words(draw):
+    """A random rich word of 50-600 letters over 2 <= q <= 5 letters (a
+    unary word has no flexed palindrome): (word, q)."""
+    q = draw(st.integers(2, 5))
+    n = draw(st.integers(50, 600))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return _random_rich(PalIndex(Alphabet(q)), n, rng), q
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(long_rich_words())
+def test_rewrite_guarantees_hold_on_long_random_words(case):
+    # Beyond the swept lengths: every target check_reducible accepts (only a
+    # flexed palindrome can pass condition 3) is rewritten, and the result is
+    # refereed by the oracle alone.
+    s, q = case
+    flex = oracles.flexed(s)
+    for r in flex:
+        w, target = word(s, q), word(r, q)
+        if not isinstance(check_reducible(w, target), ReduciblePair):
+            continue
+        out = reduced_word(w, target)[0].chars
+        assert oracles.is_rich(out), (s, r)
+        assert set(oracles.flexed(out)) <= set(flex), (s, r)
+        assert oracles.occ(out, r) < oracles.occ(s, r), (s, r)
+        k = len(r) - 1
+        assert out[:k] == s[:k], (s, r)
+        assert out[-k:] == s[-k:], (s, r)
 
 
 def test_rewrite_palindrome_separation_property(rich3):
