@@ -209,13 +209,13 @@ def eliminate(w: Word, start: Word, end: Word) -> tuple[Word, EliminationTrace]:
         )
     m = max(len(start.chars), len(end.chars))
     p1, p2 = start.chars, end.chars
-    scan = _flex_scan(idx)
-    cap = sum(occ_str(s, pal) for pal in scan)
+    w_scan = _flex_scan(idx)
+    cap = None  # summed over w_scan at the first rewrite; most runs make none
 
     i, j = _marked_span(s, p1, p2)
     res = w[i:j]
     _assert_markers(res, start, end)
-    scan = _move(idx, scan, res.chars)
+    scan = _move(idx, w_scan, res.chars)
     initial = res
     steps: list[EliminationStep] = []
     iterations = 0
@@ -228,6 +228,8 @@ def eliminate(w: Word, start: Word, end: Word) -> tuple[Word, EliminationTrace]:
         if pick is None:
             break
         iterations += 1
+        if cap is None:
+            cap = sum(occ_str(s, pal) for pal in w_scan)
         if iterations > cap:
             raise InternalInconsistency(
                 f"elimination of {s!r} exceeded its iteration cap {cap}"

@@ -10,7 +10,10 @@ the index the workhorse for richness testing, extension search, and the
 enumeration tree.
 
 Appends can be undone with ``pop``, so one index can walk a whole search tree
-of words in depth-first order without rebuilding.
+of words in depth-first order without rebuilding. ``extend`` and ``truncate``
+do the same many letters at a time, in one call: ``extend`` builds every
+index of a whole word, and ``truncate`` plus ``extend`` move an index from
+one word to the next across their common prefix.
 """
 
 from __future__ import annotations
@@ -45,6 +48,10 @@ class PalIndex:
     node of the longest palindromic suffix (``_lps_node``) and the node that
     append extended into a new one, or -1 when it created none (``_parent``).
     Every other query is derived from these.
+
+    Edits: ``append``/``pop`` add or undo one letter; ``extend`` appends a
+    string and ``truncate`` cuts back to a prefix, each in one call and to the
+    state the single-letter edits would leave.
     """
 
     __slots__ = (
@@ -65,8 +72,7 @@ class PalIndex:
     @classmethod
     def of_word(cls, w: Word) -> "PalIndex":
         idx = cls(w.alphabet)
-        for ch in w.chars:
-            idx.append(ch)
+        idx.extend(w.chars)
         return idx
 
     # -- growth ---------------------------------------------------------
@@ -118,8 +124,55 @@ class PalIndex:
         return parent >= 0
 
     def extend(self, text: str) -> None:
-        for ch in text:
-            self.append(ch)
+        """Append every letter of ``text``, leaving exactly the state that one
+        ``append`` per letter leaves.
+
+        The loop repeats ``append``'s with the lists held in locals once per
+        call. ``append`` keeps its own copy for callers that add one letter,
+        the tree walker first: routing it through ``extend`` cost enumerate
+        23-28 % of its items per second (perfbench, 2 cores, Python 3.11).
+        """
+        lens = self._len
+        slink = self._slink
+        trans = self._trans
+        nodes = self._lps_node
+        parents = self._parent
+        chars = self._chars
+        # Letters are read from one string of the whole result; the root of
+        # length -1 always matches (j = n), so the walks need no root test.
+        s = "".join(chars) + text
+        x = nodes[-1] if nodes else 1
+        for n in range(len(chars), len(s)):
+            ch = s[n]
+            while True:
+                j = n - lens[x] - 1
+                if j >= 0 and s[j] == ch:
+                    break
+                x = slink[x]
+            node = trans[x].get(ch)
+            if node is None:
+                new_len = lens[x] + 2
+                if new_len == 1:
+                    sl = 1
+                else:
+                    y = slink[x]
+                    while True:
+                        j = n - lens[y] - 1
+                        if j >= 0 and s[j] == ch:
+                            break
+                        y = slink[y]
+                    sl = trans[y][ch]
+                node = len(lens)
+                lens.append(new_len)
+                slink.append(sl)
+                trans.append({})
+                trans[x][ch] = node
+                parents.append(x)
+            else:
+                parents.append(-1)
+            nodes.append(node)
+            x = node
+        chars.extend(text)
 
     def pop(self) -> None:
         """Undo the most recent append."""
@@ -131,6 +184,24 @@ class PalIndex:
             self._len.pop()
             self._slink.pop()
             self._trans.pop()
+
+    def truncate(self, k: int) -> None:
+        """Undo appends down to the length-k prefix, 0 <= k <= len: the state
+        that len - k pops leave, in one call."""
+        chars = self._chars
+        if not 0 <= k <= len(chars):
+            raise self._bad_prefix(k, 0)
+        parents = self._parent
+        trans = self._trans
+        made = 0
+        for i in range(k, len(chars)):
+            parent = parents[i]
+            if parent >= 0:
+                del trans[parent][chars[i]]
+                made += 1
+        cut = len(self._len) - made
+        del self._len[cut:], self._slink[cut:], trans[cut:]
+        del chars[k:], self._lps_node[k:], parents[k:]
 
     # -- queries --------------------------------------------------------
 

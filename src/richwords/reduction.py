@@ -164,12 +164,11 @@ def _move(idx: PalIndex, scan: dict, chars: str) -> dict:
     """Turn ``idx``, the index of a word with flex scan ``scan``, into the
     index of ``chars`` and return the scan of ``chars``; ``scan`` is unchanged.
 
-    The eertree is online: popping back to the common prefix and appending
+    The eertree is online: truncating to the common prefix and extending by
     the rest gives what a fresh build would, and only the rest is rescanned.
     """
-    keep = common_prefix_len(idx._chars, chars)
-    while len(idx) > keep:
-        idx.pop()
+    keep = common_prefix_len(idx.chars, chars)
+    idx.truncate(keep)
     idx.extend(chars[keep:])
     return _flex_scan(idx, scan, keep)
 

@@ -199,12 +199,22 @@ def _check_same_alphabet(u: Word, v: Word) -> None:
         )
 
 
-def common_prefix_len(a, b) -> int:
-    """Length of the longest common prefix of two letter sequences."""
-    i, n = 0, min(len(a), len(b))
-    while i < n and a[i] == b[i]:
-        i += 1
-    return i
+def common_prefix_len(a: str, b: str) -> int:
+    """Length of the longest common prefix of two strings.
+
+    A bisection over slice compares, so the letters are matched at C speed.
+    """
+    lo, hi = 0, min(len(a), len(b))
+    if a[:hi] == b[:hi]:
+        return hi
+    # a[:lo] == b[:lo] and a[:hi] != b[:hi]: the first mismatch is in lo..hi-1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def lcp(u: Word, v: Word) -> Word:
@@ -216,12 +226,8 @@ def lcp(u: Word, v: Word) -> Word:
 def lcs(u: Word, v: Word) -> Word:
     """Longest common suffix of two words over the same alphabet."""
     _check_same_alphabet(u, v)
-    a, b = u.chars, v.chars
-    n = min(len(a), len(b))
-    i = 0
-    while i < n and a[len(a) - 1 - i] == b[len(b) - 1 - i]:
-        i += 1
-    return u._wrap(a[len(a) - i :])
+    a = u.chars
+    return u._wrap(a[len(a) - common_prefix_len(a[::-1], v.chars[::-1]) :])
 
 
 def occ_starts(text: str, pattern: str) -> list[int]:

@@ -251,6 +251,43 @@ def test_index_rich_letters_match_oracle(rich2):
         assert set(idx.rich_letters()) == set(oracles.rich_letters(s, 2)), s
 
 
+_FIELDS = ("_chars", "_len", "_slink", "_trans", "_lps_node", "_parent")
+
+
+def _fields(idx):
+    """The stored state of an index, copied field for field."""
+    return tuple(
+        [dict(d) for d in idx._trans] if f == "_trans" else list(getattr(idx, f))
+        for f in _FIELDS
+    )
+
+
+def _appended(s, q):
+    """An index built by one ``append`` per letter, not through ``extend``."""
+    idx = PalIndex(word("", q).alphabet)
+    for ch in s:
+        idx.append(ch)
+    return idx
+
+
+def test_extend_and_truncate_match_append_and_pop_field_for_field():
+    for q, top in ((2, 10), (3, 7)):
+        for n in range(top + 1):
+            for s in oracles.all_words(q, n):
+                whole = _fields(_appended(s, q))
+                popped = [whole]
+                idx = _appended(s, q)
+                for _ in s:
+                    idx.pop()
+                    popped.append(_fields(idx))
+                for k in range(n + 1):
+                    idx = _appended(s[:k], q)
+                    idx.extend(s[k:])
+                    assert _fields(idx) == whole, (s, k)
+                    idx.truncate(k)
+                    assert _fields(idx) == popped[n - k], (s, k)
+
+
 def _index_state(idx):
     n = len(idx)
     return (
@@ -268,9 +305,14 @@ def test_index_pop_restores_every_statistic():
     stack = [""]
     for _ in range(3000):
         s = stack[-1]
-        if s and rng.random() < 0.45:
+        step = rng.random()
+        if s and step < 0.4:
             idx.pop()
             stack.pop()
+        elif s and step < 0.45:
+            k = rng.randrange(len(s) + 1)
+            idx.truncate(k)
+            del stack[k + 1 :]
         else:
             ch = rng.choice("012")
             idx.append(ch)
@@ -278,6 +320,7 @@ def test_index_pop_restores_every_statistic():
         s = stack[-1]
         fresh = PalIndex.of_word(word(s, 3))
         assert idx.chars == s
+        assert _fields(idx) == _fields(_appended(s, 3))
         assert idx.distinct_palindromes == fresh.distinct_palindromes
         assert idx.rich == fresh.rich
         if s:
@@ -300,7 +343,9 @@ def test_prefix_queries_reject_out_of_range_lengths():
         (idx.lps_is_new, (-1, 0, 5)),
         (idx.lpps_length, (-1, 0, 5)),
         (idx.std_letter, (-1, 0, 5)),
+        (idx.truncate, (-1, 5)),
     ):
         for k in bad:
-            with pytest.raises(LengthViolation):
+            with pytest.raises(LengthViolation, match=rf"in \d\.\.4, got {k}$"):
                 query(k)
+    assert idx.chars == "0110"

@@ -26,6 +26,7 @@ from richwords import (
     trim,
     word,
 )
+from richwords.words import common_prefix_len
 
 W1 = "123999322399932442399932255223993"
 
@@ -131,6 +132,18 @@ def test_lcp_lcs_examples():
     assert lcp(word("01", 2), word("", 2)).chars == ""
     w = word("0101", 2)
     assert lcp(w, w) == w
+
+
+def test_common_prefix_len_matches_naive_loop():
+    # Every pair of binary strings up to length 6: empty, equal, and one a
+    # prefix of the other included.
+    strings = [s for n in range(7) for s in oracles.all_words(2, n)]
+    for a in strings:
+        for b in strings:
+            i = 0
+            while i < min(len(a), len(b)) and a[i] == b[i]:
+                i += 1
+            assert common_prefix_len(a, b) == i, (a, b)
 
 
 def test_lcp_is_mirrored_lcs(rich2):
