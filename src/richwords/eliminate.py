@@ -88,9 +88,13 @@ def _marked_span(s: str, p1: str, p2: str) -> tuple[int, int]:
     must start at the last head h with h + |p1| <= j (an earlier start holds
     that head too) and hold no other tail (h <= t, previous tail before h).
     One pass over the tails, a bisect each: O(n log n) after the O(n) scans.
+    A palindromic marker (every single letter) is scanned once; the two
+    orientations of any other never start at the same position.
     """
     heads, tails = (
-        sorted({*occ_starts(s, p), *occ_starts(s, p[::-1])}) for p in (p1, p2)
+        occ_starts(s, p) if p == p[::-1]
+        else sorted(occ_starts(s, p) + occ_starts(s, p[::-1]))
+        for p in (p1, p2)
     )
     len1, len2 = len(p1), len(p2)
     spans = []
@@ -249,6 +253,7 @@ def eliminate(w: Word, start: Word, end: Word) -> tuple[Word, EliminationTrace]:
                 after=res,
             )
         )
+    res._rich = True  # the loop's last richness check passed on it
     trace = EliminationTrace(
         word=w,
         start=start,

@@ -349,9 +349,12 @@ def is_rich(w: Word) -> bool:
 
     Tested incrementally: each appended letter must contribute a palindrome
     never seen before, equivalently the longest palindromic suffix of every
-    prefix occurs there for the first time.
+    prefix occurs there for the first time. A True verdict is kept on the
+    word, so asking again costs no index build.
     """
-    return PalIndex.of_word(w).rich
+    if not w._rich:
+        w._rich = PalIndex.of_word(w).rich
+    return w._rich
 
 
 def pal_closure(w: Word) -> Word:
@@ -385,8 +388,10 @@ def complete_returns(w: Word, u: Word) -> set[Word]:
 
 
 def require_rich(w: Word) -> PalIndex:
-    """Index ``w``, raising ``NotRich`` when it is not rich."""
+    """Index ``w``, raising ``NotRich`` when it is not rich, and mark ``w``
+    proved rich."""
     idx = PalIndex.of_word(w)
     if not idx.rich:
         raise NotRich(f"{w.chars!r} is not rich")
+    w._rich = True
     return idx

@@ -447,4 +447,5 @@ def reduced_word(w: Word, r: Word) -> tuple[Word, ReductionTrace]:
         raise NotReducible(outcome)
     trace, res_scan = _reduce(outcome, idx, scan)
     _guarantee_checks(scan, trace, idx, res_scan)
+    trace.result._rich = True  # the checks proved it rich
     return trace.result, trace

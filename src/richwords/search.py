@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from .errors import AlphabetMismatch, InternalInconsistency, PreconditionViolation
-from .palindromes import PalIndex, is_rich, pal_closure, require_rich
+from .errors import AlphabetMismatch, InternalInconsistency, NotRich, PreconditionViolation
+from .palindromes import PalIndex, is_rich, pal_closure
 from .words import Alphabet, Word, _Record
 
 __all__ = [
@@ -235,8 +235,9 @@ def find_common_superword(
     The walk keeps an explicit stack, so the search depth is bounded only by
     memory.
     """
-    require_rich(w1)
-    require_rich(w2)
+    for w in (w1, w2):
+        if not is_rich(w):
+            raise NotRich(f"{w.chars!r} is not rich")
     if w1.alphabet != w2.alphabet:
         raise AlphabetMismatch(
             f"targets use different alphabets: {w1.alphabet!r} vs {w2.alphabet!r}"

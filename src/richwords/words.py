@@ -66,24 +66,30 @@ class Word:
     Equality and hashing compare symbol content only, so equal words from
     different alphabet declarations collide in sets; operations that need a
     shared alphabet (lcp, lcs, concatenation) check it explicitly.
+
+    A word remembers a proved richness: ``_rich`` starts False ("not yet
+    proved") and is set True once the library has proved the word rich, so
+    ``is_rich`` answers again without rebuilding an index. The verdict is a
+    function of the letters alone; equality, hashing and records ignore it.
     """
 
-    __slots__ = ("chars", "alphabet")
+    __slots__ = ("chars", "alphabet", "_rich")
 
     def __init__(self, chars: str, alphabet: Alphabet):
-        letters = alphabet.letters
-        for ch in chars:
-            if ch not in letters:
-                raise DomainError(
-                    f"letter {ch!r} is not in the {alphabet.size}-letter alphabet"
-                )
+        rest = chars.lstrip(alphabet.letters)
+        if rest:
+            raise DomainError(
+                f"letter {rest[0]!r} is not in the {alphabet.size}-letter alphabet"
+            )
         self.chars = chars
         self.alphabet = alphabet
+        self._rich = False
 
     def _wrap(self, chars: str) -> "Word":
         w = Word.__new__(Word)
         w.chars = chars
         w.alphabet = self.alphabet
+        w._rich = False
         return w
 
     def __len__(self) -> int:

@@ -1,5 +1,7 @@
 """Palindrome machinery against the naive oracle, exhaustively at small sizes."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -11,7 +13,9 @@ from richwords import (
     NotAFactor,
     NotRich,
     PalIndex,
+    PreconditionViolation,
     complete_returns,
+    eliminate,
     is_rich,
     lpp,
     lppp,
@@ -20,7 +24,10 @@ from richwords import (
     pal_closure,
     pal_factors,
     pal_factors_avoiding,
+    reduced_word,
     require_rich,
+    reverse,
+    shortest_marked_factor,
     word,
 )
 
@@ -105,8 +112,14 @@ def test_is_rich_examples():
 
 
 def test_is_rich_matches_counting_oracle_exhaustively():
-    for s, q in all_small_words():
-        assert is_rich(word(s, q)) == oracles.is_rich(s), s
+    # Asked twice of one word: the second answer may come from the proved slot.
+    words = [(s, 2) for n in range(11) for s in oracles.all_words(2, n)]
+    words += [(s, 3) for n in range(8) for s in oracles.all_words(3, n)]
+    for s, q in words:
+        w = word(s, q)
+        want = oracles.is_rich(s)
+        assert is_rich(w) == want and w._rich == want, s
+        assert is_rich(w) == want, s
 
 
 def test_factors_and_reversal_of_rich_words_are_rich(rich2):
@@ -349,3 +362,49 @@ def test_prefix_queries_reject_out_of_range_lengths():
             with pytest.raises(LengthViolation, match=rf"in \d\.\.4, got {k}$"):
                 query(k)
     assert idx.chars == "0110"
+
+
+# -- the proved-richness slot -------------------------------------------------
+
+
+def test_non_rich_word_is_refused_on_every_repeat_call():
+    bad = word(next(s for s in oracles.all_words(2, 8) if not oracles.is_rich(s)), 2)
+    start, end = bad[:1], bad[-1:]
+    for _ in range(3):
+        with pytest.raises(PreconditionViolation, match="is not rich"):
+            shortest_marked_factor(bad, start, end)
+        assert not bad._rich
+
+
+def test_derived_words_start_unproved():
+    w = word(WF)
+    assert is_rich(w) and w._rich
+    for derived in (w + w, w + "0", reverse(w), pal_closure(w), w._wrap(WF), w[:]):
+        assert not derived._rich, derived
+
+
+def test_library_marks_the_words_it_proves_rich():
+    w = word(WF)
+    require_rich(w)
+    assert w._rich
+    res, _ = reduced_word(word("12145656547745656545656547874"), word("656"))
+    assert res._rich and oracles.is_rich(res.chars)
+    final, _ = eliminate(word(WF), word("1", 2), word("1", 2))
+    assert final._rich and oracles.is_rich(final.chars)
+
+
+def test_proved_slot_is_invisible_to_equality_hash_and_repr():
+    proved, fresh = word(WF), word(WF)
+    assert is_rich(proved) and not fresh._rich
+    assert proved == fresh and hash(proved) == hash(fresh)
+    assert repr(proved) == repr(fresh)
+
+
+def test_copied_and_pickled_words_stay_usable():
+    for w in (word(WF), word("0101101", 2)):
+        want = oracles.is_rich(w.chars)
+        is_rich(w)
+        for clone in (copy.copy(w), pickle.loads(pickle.dumps(w))):
+            assert clone == w and clone.alphabet == w.alphabet
+            assert is_rich(clone) == want
+            assert (clone + clone).chars == w.chars * 2

@@ -52,6 +52,14 @@ def test_word_validates_letters():
         word("0!1", 2)
 
 
+@pytest.mark.parametrize("text", ["20110", "01201", "01102"])
+def test_word_error_names_the_first_bad_letter(text):
+    with pytest.raises(DomainError, match=r"letter '2' is not in the 2-letter alphabet"):
+        word(text, 2)
+    with pytest.raises(DomainError, match=r"letter '!' is not"):
+        word(text.replace("2", "!") + "9", 2)
+
+
 def test_word_infers_alphabet_from_max_symbol():
     assert word("0110").alphabet.size == 2
     assert word("124135").alphabet.size == 6
