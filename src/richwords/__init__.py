@@ -10,178 +10,28 @@ enumeration, and a budgeted search for a rich word containing two given
 rich words.
 """
 
-from .bounds import (
-    DEFAULT_DIGIT_CAP,
-    BoundReport,
-    digit_count,
-    ensure_printable,
-    flex_count_bound,
-    pal_complexity_bound,
-    superword_length_bound,
-)
-from .eliminate import (
-    EliminationStep,
-    EliminationTrace,
-    eliminate,
-    maximal_reducible,
-    reverse_unioccurrent,
-    shortest_marked_factor,
-)
-from .errors import (
-    AlphabetMismatch,
-    DomainError,
-    EmptyPattern,
-    InternalInconsistency,
-    LengthViolation,
-    NotAFactor,
-    NotAFlexedPalindrome,
-    NotAPrefix,
-    NotReducible,
-    NotRich,
-    PreconditionViolation,
-    ResourceLimit,
-)
-from .extensions import is_std_ext, max_std_ext, rich_extensions, std_ext
-from .palindromes import (
-    PalIndex,
-    complete_returns,
-    is_rich,
-    lpp,
-    lppp,
-    lpps,
-    lps,
-    pal_closure,
-    pal_factors,
-    pal_factors_avoiding,
-    require_rich,
-)
-from .reduction import (
-    FlexRecord,
-    ParseTriple,
-    ReduciblePair,
-    ReductionCase,
-    ReductionRejection,
-    ReductionTrace,
-    check_reducible,
-    flexed_palindromes,
-    parse,
-    reduced_prefix,
-    reduced_word,
-    standard_replacement,
-)
-from .search import (
-    EnumConfig,
-    SearchBudget,
-    SearchStatus,
-    SearchVerdict,
-    enumerate_rich,
-    find_common_superword,
-    pal_complexity_profile,
-)
-from .words import (
-    Alphabet,
-    Word,
-    factors,
-    infer_alphabet_size,
-    is_factor,
-    iter_factors,
-    lcp,
-    lcs,
-    ltrim,
-    occ,
-    parse_word_file,
-    format_word_file,
-    reverse,
-    rtrim,
-    trim,
-    word,
-)
+from . import bounds, eliminate, errors, extensions, palindromes, reduction, search, words
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # words
-    "Alphabet",
-    "Word",
-    "word",
-    "infer_alphabet_size",
-    "reverse",
-    "trim",
-    "ltrim",
-    "rtrim",
-    "lcp",
-    "lcs",
-    "occ",
-    "iter_factors",
-    "factors",
-    "is_factor",
-    "parse_word_file",
-    "format_word_file",
-    # palindromes
-    "PalIndex",
-    "lps",
-    "lpp",
-    "lpps",
-    "lppp",
-    "pal_factors",
-    "pal_factors_avoiding",
-    "is_rich",
-    "require_rich",
-    "pal_closure",
-    "complete_returns",
-    # extensions
-    "std_ext",
-    "is_std_ext",
-    "max_std_ext",
-    "rich_extensions",
-    # reduction
-    "FlexRecord",
-    "ParseTriple",
-    "ReduciblePair",
-    "ReductionRejection",
-    "ReductionCase",
-    "ReductionTrace",
-    "flexed_palindromes",
-    "standard_replacement",
-    "check_reducible",
-    "parse",
-    "reduced_prefix",
-    "reduced_word",
-    # elimination
-    "EliminationStep",
-    "EliminationTrace",
-    "reverse_unioccurrent",
-    "shortest_marked_factor",
-    "maximal_reducible",
-    "eliminate",
-    # bounds
-    "DEFAULT_DIGIT_CAP",
-    "BoundReport",
-    "pal_complexity_bound",
-    "digit_count",
-    "ensure_printable",
-    "flex_count_bound",
-    "superword_length_bound",
-    # search
-    "EnumConfig",
-    "SearchBudget",
-    "SearchStatus",
-    "SearchVerdict",
-    "enumerate_rich",
-    "find_common_superword",
-    "pal_complexity_profile",
-    # errors
-    "DomainError",
-    "LengthViolation",
-    "AlphabetMismatch",
-    "EmptyPattern",
-    "NotAFactor",
-    "NotAPrefix",
-    "NotRich",
-    "NotAFlexedPalindrome",
-    "NotReducible",
-    "PreconditionViolation",
-    "InternalInconsistency",
-    "ResourceLimit",
-]
+# Each module's ``__all__`` is its public list. Build ours before the star
+# imports: ``from .eliminate import *`` rebinds ``eliminate`` here from the
+# submodule to the function, which is what ``richwords.eliminate`` names.
+__all__ = ["__version__"]
+__all__ += words.__all__
+__all__ += palindromes.__all__
+__all__ += extensions.__all__
+__all__ += reduction.__all__
+__all__ += eliminate.__all__
+__all__ += bounds.__all__
+__all__ += search.__all__
+__all__ += errors.__all__
+
+from .words import *
+from .palindromes import *
+from .extensions import *
+from .reduction import *
+from .eliminate import *
+from .bounds import *
+from .search import *
+from .errors import *

@@ -90,13 +90,13 @@ def flex_count_bound(marker_length: int, alphabet_size: int) -> int:
     """Upper bound on the number of distinct flexed palindromes of length at
     most ``marker_length`` that one rich word can contain.
 
-    Exact integer; exponent rounded up to ceil(log2 marker_length). Dominates
-    the sum of ``pal_complexity_bound`` over lengths 1..marker_length.
+    Exact integer: ``marker_length`` times ``pal_complexity_bound`` at
+    ``marker_length``, which dominates that bound's sum over lengths
+    1..marker_length.
     """
     _require_positive(marker_length, "marker length")
     _require_positive(alphabet_size, "alphabet size")
-    m, q = marker_length, alphabet_size
-    return (q + 1) * m * m * (4 * q**10 * m) ** _ceil_log2(m)
+    return marker_length * pal_complexity_bound(marker_length, alphabet_size)
 
 
 def _log10_pow2(exponent: int, factor: int) -> float:

@@ -81,7 +81,7 @@ def _cmd_check(args) -> _Output:
         try:
             with open(args.file, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except (FileNotFoundError, IsADirectoryError, UnicodeDecodeError) as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _UsageError(exc) from exc
         _, words = parse_word_file(text)
     elif args.word is None:

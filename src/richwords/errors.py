@@ -7,6 +7,21 @@ expected on valid input; ``ResourceLimit`` signals a blown resource cap.
 
 from __future__ import annotations
 
+__all__ = [
+    "DomainError",
+    "LengthViolation",
+    "AlphabetMismatch",
+    "EmptyPattern",
+    "NotAFactor",
+    "NotAPrefix",
+    "NotRich",
+    "NotAFlexedPalindrome",
+    "NotReducible",
+    "PreconditionViolation",
+    "InternalInconsistency",
+    "ResourceLimit",
+]
+
 
 class DomainError(ValueError):
     """Base class for rejections of mathematically invalid input."""

@@ -25,6 +25,16 @@ def _require_extendable(w: Word) -> PalIndex:
     return idx
 
 
+def _std_run(s: str, idx: PalIndex, k: int) -> int:
+    """Where the standard run through ``s`` from position ``k`` stops: the
+    first position whose letter is not the standard one, or ``len(s)``.
+    ``idx`` indexes ``s[:k]`` and is extended along the run."""
+    while k < len(s) and s[k] == idx.std_letter(k):
+        idx.append(s[k])
+        k += 1
+    return k
+
+
 def std_ext(w: Word, steps: int = 1) -> Word:
     """The word obtained from ``w`` by ``steps`` standard one-letter extensions.
 
@@ -50,12 +60,7 @@ def is_std_ext(u: Word, v: Word) -> bool:
     idx = _require_extendable(v)
     if not u.chars.startswith(v.chars):
         return False
-    for k in range(len(v.chars), len(u.chars)):
-        ch = u.chars[k]
-        if ch != idx.std_letter(k):
-            return False
-        idx.append(ch)
-    return True
+    return _std_run(u.chars, idx, len(v.chars)) == len(u.chars)
 
 
 def max_std_ext(u: Word, v: Word) -> Word:
@@ -66,12 +71,7 @@ def max_std_ext(u: Word, v: Word) -> Word:
     if not u.chars.startswith(v.chars):
         raise NotAPrefix(f"{v.chars!r} is not a prefix of {u.chars!r}")
     idx = _require_extendable(v)
-    k = len(v.chars)
-    s = u.chars
-    while k < len(s) and s[k] == idx.std_letter(k):
-        idx.append(s[k])
-        k += 1
-    return u[:k]
+    return u[: _std_run(u.chars, idx, len(v.chars))]
 
 
 def rich_extensions(w: Word) -> frozenset[str]:

@@ -32,6 +32,7 @@ __all__ = [
     "pal_factors",
     "pal_factors_avoiding",
     "is_rich",
+    "require_rich",
     "pal_closure",
     "complete_returns",
 ]

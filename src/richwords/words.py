@@ -25,6 +25,25 @@ from .errors import (
     PreconditionViolation,
 )
 
+__all__ = [
+    "Alphabet",
+    "Word",
+    "word",
+    "infer_alphabet_size",
+    "reverse",
+    "trim",
+    "ltrim",
+    "rtrim",
+    "lcp",
+    "lcs",
+    "occ",
+    "iter_factors",
+    "factors",
+    "is_factor",
+    "parse_word_file",
+    "format_word_file",
+]
+
 DISPLAY = "0123456789abcdefghijklmnopqrstuvwxyz"
 MAX_ALPHABET = len(DISPLAY)
 

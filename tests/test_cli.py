@@ -53,6 +53,8 @@ def test_check_file_errors(tmp_path, capsys):
     path.write_text("q=abc\n010\n")
     code, out, err = run(capsys, "check", "--file", str(path))
     assert (code, out) == (1, "") and "bad alphabet header" in err
+    code, out, err = run(capsys, "check", "--file", str(tmp_path / ("x" * 5000)))
+    assert (code, out) == (2, "") and err.startswith("error:")
 
 
 def test_check_requires_word_or_file(capsys):

@@ -122,6 +122,16 @@ def test_search_budget_exhaustion_is_honest():
         "explored": 5,
         "budget": {"max_length": 2, "max_nodes": 5},
     }
+    # Every deepening round ends under the node budget without a hit.
+    v = find_common_superword(
+        word("00", 2), word("11", 2), budget=SearchBudget(2, 100)
+    )
+    assert v.to_record() == {
+        "status": "exhausted-budget",
+        "witness": None,
+        "explored": 6,
+        "budget": {"max_length": 2, "max_nodes": 100},
+    }
 
 
 def test_search_empty_targets():
