@@ -214,7 +214,9 @@ def eliminate(w: Word, start: Word, end: Word) -> tuple[Word, EliminationTrace]:
     m = max(len(start.chars), len(end.chars))
     p1, p2 = start.chars, end.chars
     w_scan = _flex_scan(idx)
-    cap = None  # summed over w_scan at the first rewrite; most runs make none
+    # Every flexed palindrome of the input occurs in it, so the cap is at
+    # least len(w_scan); it is summed only once the loop gets past that.
+    cap = None
 
     i, j = _marked_span(s, p1, p2)
     res = w[i:j]
@@ -232,12 +234,13 @@ def eliminate(w: Word, start: Word, end: Word) -> tuple[Word, EliminationTrace]:
         if pick is None:
             break
         iterations += 1
-        if cap is None:
-            cap = sum(occ_str(s, pal) for pal in w_scan)
-        if iterations > cap:
-            raise InternalInconsistency(
-                f"elimination of {s!r} exceeded its iteration cap {cap}"
-            )
+        if iterations > len(w_scan):
+            if cap is None:
+                cap = sum(occ_str(s, pal) for pal in w_scan)
+            if iterations > cap:
+                raise InternalInconsistency(
+                    f"elimination of {s!r} exceeded its iteration cap {cap}"
+                )
         before = res
         reduction, res_scan = _reduce(pick, idx, scan)
         _guarantee_checks(scan, reduction, idx, res_scan)

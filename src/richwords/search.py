@@ -16,11 +16,15 @@ reversal; one palindromic closure then restores requested orientations,
 since the closure is a palindrome containing the node as a prefix (and hence
 every reversed factor too). The search is budget-bounded: running out of
 budget means "not decided", never "no".
+
+Its node count covers every node of every round. A round shorter than the
+targets' shortest common superstring cannot hit, and its node count is the
+number of rich words up to its length, which depends on the alphabet size
+alone; such rounds are counted from a per-alphabet table, not walked.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -88,7 +92,9 @@ class SearchStatus(Enum):
 @dataclass(frozen=True)
 class SearchVerdict(_Record):
     """Outcome of one search: a verified witness, or an honest "not decided"
-    after the budget ran out. ``explored`` counts tree nodes visited."""
+    after the budget ran out. ``explored`` counts the tree nodes of every
+    deepening round up to the verdict; the rounds shorter than the targets'
+    shortest common superstring are counted from a table, not walked."""
 
     status: SearchStatus
     witness: Word | None
@@ -192,6 +198,8 @@ def enumerate_rich(config: EnumConfig, workers: int = 1) -> Iterator[Word]:
             roots.append(chars)
     if split >= config.max_length or not roots:
         return
+    import multiprocessing  # only this branch needs it; importing it costs ~1 MB
+
     jobs = [(config.alphabet_size, root, config.max_length, config.canonical) for root in roots]
     with multiprocessing.Pool(processes=workers) as pool:
         for chunk in pool.imap_unordered(_subtree_chunk, jobs):
@@ -200,6 +208,64 @@ def enumerate_rich(config: EnumConfig, workers: int = 1) -> Iterator[Word]:
 
 
 # -- common-superword search ---------------------------------------------
+
+
+class _RoundCounts:
+    """How many nodes a deepening round over ``q`` letters visits: round L
+    visits every nonempty rich word of length <= L once.
+
+    ``by_length[k]`` is the number of rich words of length k, exact up to the
+    deepest complete walk. A walk cut at a cap leaves only a floor in
+    ``floors``: at least ``floors[d]`` rich words of length <= d. Both depend
+    on ``q`` alone and hold no input word.
+    """
+
+    def __init__(self, q: int):
+        self.q = q
+        self.by_length = [0]
+        self.floors: dict[int, int] = {}
+
+    def total(self, first: int, last: int, cap: int) -> int:
+        """Nodes visited by the rounds ``first``..``last``, or ``cap`` when
+        that is at least ``cap``. Walks at most ``cap`` nodes to find out."""
+        depth = len(self.by_length) - 1
+        total = size = 0
+        for length in range(1, last + 1):
+            # beyond the table, a round visits at least as many as at depth
+            size += self.by_length[length] if length <= depth else 0
+            if length >= first:
+                total += size
+        if total >= cap:
+            return cap
+        if last <= depth:
+            return total
+        if any(d <= last and n >= cap for d, n in self.floors.items()):
+            return cap
+        by_length = [0] * (last + 1)
+        for seen, chars in enumerate(_walk(PalIndex(Alphabet(self.q)), last), 1):
+            if seen == cap:
+                self.floors[last] = cap
+                return cap
+            by_length[len(chars)] += 1
+        self.by_length = by_length
+        return self.total(first, last, cap)
+
+
+# One table per alphabet size, shared by every query in the process: its
+# counts are facts about the alphabet, so sharing changes no result.
+_ROUND_COUNTS: dict[int, _RoundCounts] = {}
+
+
+def _superstring_len(a: str, b: str) -> int:
+    """Length of the shortest string holding both ``a`` and ``b``."""
+    if b in a:
+        return len(a)
+    if a in b:
+        return len(b)
+    for k in range(min(len(a), len(b)) - 1, 0, -1):
+        if a.endswith(b[:k]) or b.endswith(a[:k]):
+            return len(a) + len(b) - k
+    return len(a) + len(b)
 
 
 def _orient(witness_chars: str, base: Word, p1: str, p2: str) -> Word:
@@ -232,6 +298,10 @@ def find_common_superword(
     budget). Every witness is re-validated before being returned. The
     default budget allows words up to |w1| + |w2| and a million nodes.
 
+    No word shorter than the shortest common superstring of the targets, in
+    any orientation, can hit, so those rounds are counted from a table of
+    rich-word counts instead of walked; ``explored`` is the same either way.
+
     The walk keeps an explicit stack, so the search depth is bounded only by
     memory.
     """
@@ -253,8 +323,16 @@ def find_common_superword(
     if p1 == "" and p2 == "":
         return SearchVerdict(SearchStatus.WITNESS, _validated(base, p1, p2), 0, budget)
 
+    first = max(len(p1), len(p2), 1)
+    # reversing both targets keeps the superstring length, so two pairs do
+    short = min(_superstring_len(p1, p2), _superstring_len(p1, r2))
+    last = min(short - 1, budget.max_length)
     explored = 0
-    for limit in range(max(len(p1), len(p2), 1), budget.max_length + 1):
+    if first <= last:
+        q = w1.alphabet.size
+        counts = _ROUND_COUNTS.get(q) or _ROUND_COUNTS.setdefault(q, _RoundCounts(q))
+        explored = counts.total(first, last, budget.max_nodes)
+    for limit in range(max(first, short), budget.max_length + 1):
         for chars in _walk(PalIndex(w1.alphabet), limit, std_first=True):
             if explored >= budget.max_nodes:
                 return SearchVerdict(SearchStatus.EXHAUSTED, None, explored, budget)

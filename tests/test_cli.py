@@ -421,6 +421,21 @@ PINNED = [
         '"budget": {"max_length": 4, "max_nodes": 1000000}}\n',
         id="search-json",
     ),
+    # rounds 10..17, shorter than the targets' 18-letter shortest
+    # superstring, are counted, not walked; round 10 alone exhausts the budget
+    pytest.param(
+        ["search", "--q", "3", "202010000", "2010201101",
+         "--max-length", "19", "--max-nodes", "20000"],
+        "exhausted-budget explored=20000\n",
+        id="search-counted-rounds-exhausted",
+    ),
+    # rounds 10 and 11 fit the budget: 28,080 + 63,111 rich ternary words
+    pytest.param(
+        ["search", "--q", "3", "202010000", "2010201101",
+         "--max-length", "11", "--max-nodes", "100000"],
+        "exhausted-budget explored=91191\n",
+        id="search-counted-rounds-complete",
+    ),
     pytest.param(
         ["bound", "--format", "json", "--m", "2", "--q", "2"], _bound_m2_q2, id="bound-json"
     ),

@@ -1,5 +1,7 @@
 """Rich-word enumeration and the budgeted common-superword search."""
 
+import importlib
+
 import pytest
 
 import oracles
@@ -7,15 +9,19 @@ from richwords import (
     AlphabetMismatch,
     EnumConfig,
     NotRich,
+    PalIndex,
     PreconditionViolation,
     SearchBudget,
     SearchStatus,
+    SearchVerdict,
     enumerate_rich,
     find_common_superword,
     is_rich,
     pal_complexity_profile,
     word,
 )
+
+search = importlib.import_module("richwords.search")
 
 WF = "110101100110011"
 
@@ -172,6 +178,109 @@ def test_search_input_validation(rich2):
         SearchBudget(-1, 10)
     with pytest.raises(PreconditionViolation):
         SearchBudget(4, 0)
+
+
+# -- rounds counted instead of walked ------------------------------------------------
+
+
+def _walked_search(w1, w2, budget=None):
+    """The search with every deepening round walked: the reference for the
+    rounds that are counted from the table."""
+    if budget is None:
+        budget = SearchBudget(len(w1.chars) + len(w2.chars), 1_000_000)
+    p1, p2 = w1.chars, w2.chars
+    r1, r2 = p1[::-1], p2[::-1]
+    base = w1._wrap("")
+    if p1 == "" and p2 == "":
+        return SearchVerdict(SearchStatus.WITNESS, base, 0, budget)
+    explored = 0
+    for limit in range(max(len(p1), len(p2), 1), budget.max_length + 1):
+        for chars in search._walk(PalIndex(w1.alphabet), limit, std_first=True):
+            if explored >= budget.max_nodes:
+                return SearchVerdict(SearchStatus.EXHAUSTED, None, explored, budget)
+            explored += 1
+            if (p1 in chars or r1 in chars) and (p2 in chars or r2 in chars):
+                witness = search._orient(chars, base, p1, p2)
+                return SearchVerdict(SearchStatus.WITNESS, witness, explored, budget)
+    return SearchVerdict(SearchStatus.EXHAUSTED, None, explored, budget)
+
+
+def _outcome(v):
+    return v.status, None if v.witness is None else v.witness.chars, v.explored
+
+
+def _rich_upto(corpus):
+    """Number of nonempty rich words of length <= L, for L = 0 .. the
+    corpus's longest."""
+    top = max(map(len, corpus))
+    return [sum(1 for s in corpus if 0 < len(s) <= n) for n in range(top + 1)]
+
+
+def test_counted_rounds_match_walked_rounds_on_pair_sweeps(rich2, rich3):
+    for q, corpus, top in ((2, rich2, 5), (3, rich3, 3)):
+        targets = [s for s in corpus if 1 <= len(s) <= top]
+        for a in targets:
+            for b in targets:
+                w1, w2 = word(a, q), word(b, q)
+                got = _outcome(find_common_superword(w1, w2))
+                assert got == _outcome(_walked_search(w1, w2)), (a, b)
+
+
+@pytest.mark.parametrize("a, b, q", [
+    ("00000", "11111", 2), ("0010", "1101", 2), ("000", "111", 3), ("0102", "2101", 3),
+])
+def test_counted_rounds_match_at_round_boundaries(a, b, q, rich2, rich3, monkeypatch):
+    upto = _rich_upto(rich2 if q == 2 else rich3)
+    first = max(len(a), len(b))
+    # the shortest string holding both targets, each in either orientation
+    short = min(
+        len(x + y[k:])
+        for u in (a, a[::-1]) for v in (b, b[::-1]) for x, y in ((u, v), (v, u))
+        for k in range(len(y) + 1) if y in x + y[k:]
+    )
+    assert short > first  # the pair has counted rounds
+    budgets = set()
+    explored = 0
+    for limit in range(first, short):
+        explored += upto[limit]
+        budgets |= {upto[limit] + d for d in (-1, 0, 1)}
+        budgets |= {explored + d for d in (-1, 0, 1)}
+    w1, w2 = word(a, q), word(b, q)
+    for nodes in sorted(budgets):
+        budget = SearchBudget(len(a) + len(b), nodes)
+        want = _outcome(_walked_search(w1, w2, budget))
+        assert _outcome(find_common_superword(w1, w2, budget)) == want, nodes
+        monkeypatch.setattr(search, "_ROUND_COUNTS", {})  # the same from a cold table
+        assert _outcome(find_common_superword(w1, w2, budget)) == want, nodes
+
+
+def test_round_counts_match_oracle():
+    for q, top in ((1, 8), (2, 10), (3, 6), (4, 5)):
+        upto = _rich_upto(oracles.rich_words(q, top))
+        counts = search._RoundCounts(q)
+        for n in range(1, top + 1):
+            assert counts.total(n, n, 10**9) == upto[n], (q, n)
+        assert counts.total(1, top, 10**9) == sum(upto)
+
+
+def test_capped_fill_walks_at_most_cap_nodes(monkeypatch):
+    walk, walked = search._walk, []
+
+    def counted(*args, **kwargs):
+        for chars in walk(*args, **kwargs):
+            walked.append(chars)
+            yield chars
+
+    monkeypatch.setattr(search, "_walk", counted)
+    rounds = 62 + 126 + 254 + 506 + 994  # binary rounds 5..9
+    for cap in (1, 2, 993, 994, 995, rounds - 1, rounds, rounds + 1):
+        walked.clear()
+        counts = search._RoundCounts(2)
+        assert counts.total(5, 9, cap) == min(cap, rounds), cap
+        assert len(walked) <= cap, cap
+        walked.clear()
+        assert counts.total(5, 9, cap) == min(cap, rounds), cap
+        assert walked == [], cap  # answered from the table alone
 
 
 # -- depth beyond the interpreter's recursion limit ---------------------------------

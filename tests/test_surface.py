@@ -1,6 +1,9 @@
 """The package's public surface: the union of its modules' ``__all__``."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import richwords
 
@@ -48,3 +51,14 @@ def test_each_name_is_its_defining_modules_object():
 def test_eliminate_names_the_function():
     module = importlib.import_module("richwords.eliminate")
     assert richwords.eliminate is module.eliminate
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # only enumerate_rich(..., workers > 1) needs it
+    src = os.path.dirname(os.path.dirname(richwords.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, richwords; print('multiprocessing' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False\n"
