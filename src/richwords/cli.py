@@ -5,8 +5,10 @@ One subcommand per library operation; words are written as display symbols
 message on standard error names the failing condition), 2 a usage error.
 Structured output is line-delimited JSON so harnesses can stream it.
 
-Handlers return their output and raise on rejection; ``main`` alone prints
-the view ``--format`` selects and picks the exit status.
+``@_command`` declares each handler a subcommand. Handlers get their word
+arguments as ``Word``s, return their output and raise on rejection; ``main``
+alone resolves the words, prints the view ``--format`` selects and picks the
+exit status.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .bounds import DEFAULT_DIGIT_CAP, ensure_printable, superword_length_bound
 from .eliminate import eliminate, shortest_marked_factor
@@ -60,10 +62,10 @@ class _Output(NamedTuple):
     csv: Iterable[str] | None = None
 
 
-def _render(output: _Output, fmt: str) -> None:
-    if fmt == "json" and output.json is not None:
+def _render(output: _Output, view: str) -> None:
+    if view == "json" and output.json is not None:
         lines = map(json.dumps, output.json)
-    elif fmt == "csv" and output.csv is not None:
+    elif view == "csv" and output.csv is not None:
         lines = output.csv
     else:
         lines = output.plain
@@ -71,12 +73,36 @@ def _render(output: _Output, fmt: str) -> None:
         print(line)
 
 
+_COMMANDS: dict[str, tuple] = {}  # name -> (handler, help, words, options)
+
+
+def _command(help: str, words: dict[str, dict] = {}, options: dict[str, dict] = {}):
+    """Declare the decorated ``_cmd_<name>`` handler as subcommand ``name``.
+    ``words`` maps each positional word argument, and ``options`` each other
+    argument, to its ``add_argument`` keywords; every command takes
+    ``--format``, and one with words also takes ``--q``."""
+
+    def declare(handler: Callable[..., _Output]) -> Callable[..., _Output]:
+        _COMMANDS[handler.__name__.removeprefix("_cmd_")] = (handler, help, words, options)
+        return handler
+
+    return declare
+
+
+_WORD = {"word": {}}
+_PAIR = {"word": {}, "target": {}}
+_FORMATS = ("plain", "json", "csv")
+
+
 # -- subcommand handlers ---------------------------------------------------
 
 
-def _cmd_check(args) -> _Output:
-    if args.file is not None and args.word is not None:
-        raise _UsageError("give a word or --file, not both")
+@_command(
+    "test palindromic richness",
+    {"word": dict(nargs="?", help="word to test")},
+    {"--file": dict(help="word file (optional q=<n> header)")},
+)
+def _cmd_check(args, *words: Word) -> _Output:
     if args.file is not None:
         try:
             with open(args.file, "r", encoding="utf-8") as handle:
@@ -84,10 +110,6 @@ def _cmd_check(args) -> _Output:
         except (OSError, UnicodeDecodeError) as exc:
             raise _UsageError(exc) from exc
         _, words = parse_word_file(text)
-    elif args.word is None:
-        raise _UsageError("provide a word or --file")
-    else:
-        words = _resolve_words(args.q, args.word)
     verdicts = [(w.chars, is_rich(w)) for w in words]
     if args.file is not None:
         plain = (f"{c} {'rich' if v else 'not rich'}" for c, v in verdicts)
@@ -100,8 +122,8 @@ def _cmd_check(args) -> _Output:
     )
 
 
-def _cmd_factors(args) -> _Output:
-    (w,) = _resolve_words(args.q, args.word)
+@_command("distinct palindromic factors", _WORD)
+def _cmd_factors(args, w: Word) -> _Output:
     pals = sorted((p.chars for p in pal_factors(w)), key=lambda c: (len(c), c))
     return _Output(
         pals,
@@ -110,8 +132,8 @@ def _cmd_factors(args) -> _Output:
     )
 
 
-def _cmd_flexed(args) -> _Output:
-    (w,) = _resolve_words(args.q, args.word)
+@_command("flexed palindromes with positions and standard replacements", _WORD)
+def _cmd_flexed(args, w: Word) -> _Output:
     records = flexed_palindromes(w)
     fields = [(r.palindrome.chars, r.position, r.replacement.chars) for r in records]
     return _Output(
@@ -121,21 +143,25 @@ def _cmd_flexed(args) -> _Output:
     )
 
 
-def _cmd_closure(args) -> _Output:
-    (w,) = _resolve_words(args.q, args.word)
+@_command("palindromic closure", _WORD)
+def _cmd_closure(args, w: Word) -> _Output:
     result = pal_closure(w)
     return _Output([result.chars], json=[{"word": w.chars, "closure": result.chars}])
 
 
-def _cmd_extend(args) -> _Output:
-    (w,) = _resolve_words(args.q, args.word)
+@_command(
+    "standard extension by forced letters",
+    _WORD,
+    {"--steps": dict(type=int, default=1, help="letters to append (default 1)")},
+)
+def _cmd_extend(args, w: Word) -> _Output:
     result = std_ext(w, args.steps)
     record = {"word": w.chars, "steps": args.steps, "result": result.chars}
     return _Output([result.chars], json=[record])
 
 
-def _cmd_gamma(args) -> _Output:
-    w, r = _resolve_words(args.q, args.word, args.target)
+@_command("test the five reducibility conditions for (word, target)", _PAIR)
+def _cmd_gamma(args, w: Word, r: Word) -> _Output:
     outcome = check_reducible(w, r)
     if isinstance(outcome, ReductionRejection):
         raise NotReducible(outcome)
@@ -148,8 +174,8 @@ def _cmd_gamma(args) -> _Output:
     return _Output(["reducible"], json=[record])
 
 
-def _cmd_parse(args) -> _Output:
-    w, r = _resolve_words(args.q, args.word, args.target)
+@_command("split a reducible pair into span, forced run, and tail", _PAIR)
+def _cmd_parse(args, w: Word, r: Word) -> _Output:
     triple = parse(w, r)
     return _Output(
         [f"span {triple.span.chars}", f"forced {triple.forced.chars}", f"tail {triple.tail.chars}"],
@@ -157,8 +183,12 @@ def _cmd_parse(args) -> _Output:
     )
 
 
-def _cmd_reduce(args) -> _Output:
-    w, r = _resolve_words(args.q, args.word, args.target)
+@_command(
+    "rewrite away occurrences of the target",
+    _PAIR,
+    {"--trace": dict(action="store_true", help="emit the full rewrite trace")},
+)
+def _cmd_reduce(args, w: Word, r: Word) -> _Output:
     result, trace = reduced_word(w, r)
     if args.trace:
         return _Output([json.dumps(trace.to_record())])
@@ -166,8 +196,16 @@ def _cmd_reduce(args) -> _Output:
     return _Output([result.chars], json=[record])
 
 
-def _cmd_eliminate(args) -> _Output:
-    w, start, end = _resolve_words(args.q, args.word, args.start, args.end)
+@_command(
+    "remove all flexed palindromes longer than the markers",
+    {
+        "word": {},
+        "start": dict(help="prefix marker to keep"),
+        "end": dict(help="suffix marker to keep"),
+    },
+    {"--trace": dict(action="store_true", help="emit the full run trace")},
+)
+def _cmd_eliminate(args, w: Word, start: Word, end: Word) -> _Output:
     final, trace = eliminate(w, start, end)
     if args.trace:
         return _Output([json.dumps(trace.to_record())])
@@ -181,8 +219,11 @@ def _cmd_eliminate(args) -> _Output:
     return _Output([final.chars], json=[record])
 
 
-def _cmd_ruo(args) -> _Output:
-    w, start, end = _resolve_words(args.q, args.word, args.start, args.end)
+@_command(
+    "shortest factor carrying both markers reverse-unioccurrently",
+    {"word": {}, "start": {}, "end": {}},
+)
+def _cmd_ruo(args, w: Word, start: Word, end: Word) -> _Output:
     result = shortest_marked_factor(w, start, end)
     record = {"word": w.chars, "start": start.chars, "end": end.chars, "factor": result.chars}
     return _Output([result.chars], json=[record])
@@ -194,6 +235,22 @@ def _format_exact(value: int | None, log10_value: float) -> str:
     return f"~10^{log10_value:.2f}"
 
 
+@_command(
+    "exact superword length bounds",
+    options={
+        "--m": dict(type=int, required=True, help="maximum marker length"),
+        "--q": dict(type=int, required=True, help="alphabet size"),
+        "--digit-cap": dict(
+            type=int,
+            default=DEFAULT_DIGIT_CAP,
+            help="largest exact decimal expansion to materialize (default %(default)s)",
+        ),
+        "--exact": dict(
+            action="store_true",
+            help="fail instead of approximating when a bound exceeds the digit cap",
+        ),
+    },
+)
 def _cmd_bound(args) -> _Output:
     report = superword_length_bound(
         args.m, args.q, digit_cap=args.digit_cap, require_exact=args.exact
@@ -210,6 +267,19 @@ def _cmd_bound(args) -> _Output:
     return _Output(plain, json=[report.to_record()])
 
 
+@_command(
+    "stream all rich words up to a length",
+    options={
+        "--q": dict(type=int, required=True, help="alphabet size"),
+        "--max-length": dict(type=int, required=True),
+        "--canonical": dict(
+            action="store_true",
+            help="quotient by letter renaming (letters first appear in increasing order)",
+        ),
+        "--count": dict(action="store_true", help="emit length,count lines"),
+        "--workers": dict(type=int, default=1),
+    },
+)
 def _cmd_enumerate(args) -> _Output:
     config = EnumConfig(
         alphabet_size=args.q, max_length=args.max_length, canonical=args.canonical
@@ -226,8 +296,15 @@ def _cmd_enumerate(args) -> _Output:
     )
 
 
-def _cmd_search(args) -> _Output:
-    w1, w2 = _resolve_words(args.q, args.first, args.second)
+@_command(
+    "look for a rich word containing both arguments",
+    {"first": {}, "second": {}},
+    {
+        "--max-length": dict(type=int, help="longest word to try"),
+        "--max-nodes": dict(type=int, default=1_000_000),
+    },
+)
+def _cmd_search(args, w1: Word, w2: Word) -> _Output:
     max_length = (
         args.max_length
         if args.max_length is not None
@@ -242,8 +319,8 @@ def _cmd_search(args) -> _Output:
     return _Output([line], json=[verdict.to_record()])
 
 
-def _cmd_profile(args) -> _Output:
-    (w,) = _resolve_words(args.q, args.word)
+@_command("palindromic factor counts by length", _WORD)
+def _cmd_profile(args, w: Word) -> _Output:
     profile = pal_complexity_profile(w)
     return _Output(
         [f"{length},{count}" for length, count in profile.items()],
@@ -260,157 +337,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Palindromically rich words: analysis, rewriting, search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument(
-        "--format",
-        choices=("plain", "json", "csv"),
-        default="plain",
-        help="output format (default plain)",
-    )
-    alpha = argparse.ArgumentParser(add_help=False)
-    alpha.add_argument(
-        "--q",
-        type=int,
-        default=None,
-        help="alphabet size; inferred from the arguments when omitted",
-    )
-
-    p = sub.add_parser("check", parents=[fmt, alpha], help="test palindromic richness")
-    p.add_argument("word", nargs="?", default=None, help="word to test")
-    p.add_argument("--file", default=None, help="word file (optional q=<n> header)")
-    p.set_defaults(handler=_cmd_check)
-
-    p = sub.add_parser(
-        "factors", parents=[fmt, alpha], help="distinct palindromic factors"
-    )
-    p.add_argument("word")
-    p.set_defaults(handler=_cmd_factors)
-
-    p = sub.add_parser(
-        "flexed",
-        parents=[fmt, alpha],
-        help="flexed palindromes with positions and standard replacements",
-    )
-    p.add_argument("word")
-    p.set_defaults(handler=_cmd_flexed)
-
-    p = sub.add_parser("closure", parents=[fmt, alpha], help="palindromic closure")
-    p.add_argument("word")
-    p.set_defaults(handler=_cmd_closure)
-
-    p = sub.add_parser(
-        "extend", parents=[fmt, alpha], help="standard extension by forced letters"
-    )
-    p.add_argument("word")
-    p.add_argument("--steps", type=int, default=1, help="letters to append (default 1)")
-    p.set_defaults(handler=_cmd_extend)
-
-    p = sub.add_parser(
-        "gamma",
-        parents=[fmt, alpha],
-        help="test the five reducibility conditions for (word, target)",
-    )
-    p.add_argument("word")
-    p.add_argument("target")
-    p.set_defaults(handler=_cmd_gamma)
-
-    p = sub.add_parser(
-        "parse",
-        parents=[fmt, alpha],
-        help="split a reducible pair into span, forced run, and tail",
-    )
-    p.add_argument("word")
-    p.add_argument("target")
-    p.set_defaults(handler=_cmd_parse)
-
-    p = sub.add_parser(
-        "reduce", parents=[fmt, alpha], help="rewrite away occurrences of the target"
-    )
-    p.add_argument("word")
-    p.add_argument("target")
-    p.add_argument("--trace", action="store_true", help="emit the full rewrite trace")
-    p.set_defaults(handler=_cmd_reduce)
-
-    p = sub.add_parser(
-        "eliminate",
-        parents=[fmt, alpha],
-        help="remove all flexed palindromes longer than the markers",
-    )
-    p.add_argument("word")
-    p.add_argument("start", help="prefix marker to keep")
-    p.add_argument("end", help="suffix marker to keep")
-    p.add_argument("--trace", action="store_true", help="emit the full run trace")
-    p.set_defaults(handler=_cmd_eliminate)
-
-    p = sub.add_parser(
-        "ruo",
-        parents=[fmt, alpha],
-        help="shortest factor carrying both markers reverse-unioccurrently",
-    )
-    p.add_argument("word")
-    p.add_argument("start")
-    p.add_argument("end")
-    p.set_defaults(handler=_cmd_ruo)
-
-    p = sub.add_parser(
-        "bound", parents=[fmt], help="exact superword length bounds"
-    )
-    p.add_argument("--m", type=int, required=True, help="maximum marker length")
-    p.add_argument("--q", type=int, required=True, help="alphabet size")
-    p.add_argument(
-        "--digit-cap",
-        type=int,
-        default=DEFAULT_DIGIT_CAP,
-        help=f"largest exact decimal expansion to materialize (default {DEFAULT_DIGIT_CAP})",
-    )
-    p.add_argument(
-        "--exact",
-        action="store_true",
-        help="fail instead of approximating when a bound exceeds the digit cap",
-    )
-    p.set_defaults(handler=_cmd_bound)
-
-    p = sub.add_parser(
-        "enumerate", parents=[fmt], help="stream all rich words up to a length"
-    )
-    p.add_argument("--q", type=int, required=True, help="alphabet size")
-    p.add_argument("--max-length", type=int, required=True)
-    p.add_argument(
-        "--canonical",
-        action="store_true",
-        help="quotient by letter renaming (letters first appear in increasing order)",
-    )
-    p.add_argument("--count", action="store_true", help="emit length,count lines")
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(handler=_cmd_enumerate)
-
-    p = sub.add_parser(
-        "search",
-        parents=[fmt, alpha],
-        help="look for a rich word containing both arguments",
-    )
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument(
-        "--max-length", type=int, default=None, help="longest word to try"
-    )
-    p.add_argument("--max-nodes", type=int, default=1_000_000)
-    p.set_defaults(handler=_cmd_search)
-
-    p = sub.add_parser(
-        "profile", parents=[fmt, alpha], help="palindromic factor counts by length"
-    )
-    p.add_argument("word")
-    p.set_defaults(handler=_cmd_profile)
-
+    for name, (_, summary, words, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.add_argument(
+            "--format", choices=_FORMATS, default="plain", help="output format (default plain)"
+        )
+        if words:
+            p.add_argument(
+                "--q", type=int, help="alphabet size; inferred from the arguments when omitted"
+            )
+        for flag, keywords in {**words, **options}.items():
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    handler, _, names, _ = _COMMANDS[args.command]
     try:
-        _render(args.handler(args), args.format)
+        # check reads one word or --file: say which before checking any letter
+        if args.command == "check" and args.word is None and args.file is None:
+            raise _UsageError("provide a word or --file")
+        if args.command == "check" and args.word is not None and args.file is not None:
+            raise _UsageError("give a word or --file, not both")
+        texts = [t for t in (getattr(args, name) for name in names) if t is not None]
+        words = _resolve_words(args.q, *texts) if texts else []
+        _render(handler(args, *words), args.format)
     except (_UsageError, DomainError, ResourceLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, _UsageError) else 1

@@ -25,6 +25,7 @@ alone; such rounds are counted from a per-alphabet table, not walked.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -176,7 +177,8 @@ def enumerate_rich(config: EnumConfig, workers: int = 1) -> Iterator[Word]:
     Sequential runs emit in depth-first preorder starting from the empty
     word, children in display order. With ``workers`` > 1 the subtrees below
     a fixed depth are handed to worker processes and may be emitted out of
-    order relative to each other.
+    order relative to each other. The pool never holds more processes than
+    there are subtrees or cores, however large ``workers`` is.
     """
     if workers < 1:
         raise PreconditionViolation(f"workers must be positive, got {workers}")
@@ -201,7 +203,8 @@ def enumerate_rich(config: EnumConfig, workers: int = 1) -> Iterator[Word]:
     import multiprocessing  # only this branch needs it; importing it costs ~1 MB
 
     jobs = [(config.alphabet_size, root, config.max_length, config.canonical) for root in roots]
-    with multiprocessing.Pool(processes=workers) as pool:
+    processes = min(workers, len(jobs), os.cpu_count() or 1)
+    with multiprocessing.Pool(processes=processes) as pool:
         for chunk in pool.imap_unordered(_subtree_chunk, jobs):
             for chars in chunk:
                 yield base._wrap(chars)

@@ -61,6 +61,8 @@ def test_check_requires_word_or_file(capsys):
     code, _, err = run(capsys, "check")
     assert code == 2
     assert "provide a word" in err
+    # the usage error comes before the alphabet size is checked
+    assert run(capsys, "check", "--q", "0") == (2, "", "error: provide a word or --file\n")
 
 
 def test_check_rejects_word_with_file(tmp_path, capsys):
@@ -69,6 +71,8 @@ def test_check_rejects_word_with_file(tmp_path, capsys):
     code, out, err = run(capsys, "check", "--file", str(path), "0110")
     assert (code, out) == (2, "")
     assert err == "error: give a word or --file, not both\n"
+    # the usage error comes before any letter is checked
+    assert run(capsys, "check", "--file", str(path), "0!1") == (2, "", err)
 
 
 def test_invalid_letter_is_domain_error(capsys):
@@ -316,6 +320,76 @@ def test_usage_errors_exit_2(capsys):
         main(["bound", "--m", "1"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# -- parser surface ------------------------------------------------------------
+
+# Every argument of every subcommand, in declaration order: its flags (or
+# positional name), action class, and each setting that differs from a
+# plain stored option.
+_PLAIN = {"default": None, "required": False, "type": None, "choices": None, "nargs": None}
+HELP = "-h/--help _HelpAction default='==SUPPRESS==' nargs=0"
+FORMAT = "--format _StoreAction default='plain' choices=('plain', 'json', 'csv')"
+Q = "--q _StoreAction type=int"
+WORD = "word _StoreAction required=True"
+TARGET = "target _StoreAction required=True"
+MARKERS = ["start _StoreAction required=True", "end _StoreAction required=True"]
+TRACE = "--trace _StoreTrueAction default=False nargs=0"
+PARSER_SURFACE = {
+    "check": [HELP, FORMAT, Q, "word _StoreAction nargs='?'", "--file _StoreAction"],
+    "factors": [HELP, FORMAT, Q, WORD],
+    "flexed": [HELP, FORMAT, Q, WORD],
+    "closure": [HELP, FORMAT, Q, WORD],
+    "extend": [HELP, FORMAT, Q, WORD, "--steps _StoreAction default=1 type=int"],
+    "gamma": [HELP, FORMAT, Q, WORD, TARGET],
+    "parse": [HELP, FORMAT, Q, WORD, TARGET],
+    "reduce": [HELP, FORMAT, Q, WORD, TARGET, TRACE],
+    "eliminate": [HELP, FORMAT, Q, WORD, *MARKERS, TRACE],
+    "ruo": [HELP, FORMAT, Q, WORD, *MARKERS],
+    "bound": [
+        HELP,
+        FORMAT,
+        "--m _StoreAction required=True type=int",
+        "--q _StoreAction required=True type=int",
+        "--digit-cap _StoreAction default=100000 type=int",
+        "--exact _StoreTrueAction default=False nargs=0",
+    ],
+    "enumerate": [
+        HELP,
+        FORMAT,
+        "--q _StoreAction required=True type=int",
+        "--max-length _StoreAction required=True type=int",
+        "--canonical _StoreTrueAction default=False nargs=0",
+        "--count _StoreTrueAction default=False nargs=0",
+        "--workers _StoreAction default=1 type=int",
+    ],
+    "search": [
+        HELP,
+        FORMAT,
+        Q,
+        "first _StoreAction required=True",
+        "second _StoreAction required=True",
+        "--max-length _StoreAction type=int",
+        "--max-nodes _StoreAction default=1000000 type=int",
+    ],
+    "profile": [HELP, FORMAT, Q, WORD],
+}
+
+
+def _describe(action) -> str:
+    settings = ["/".join(action.option_strings) or action.dest, type(action).__name__]
+    for key, plain in _PLAIN.items():
+        value = getattr(action, key)
+        if value != plain:
+            settings.append(f"{key}={value.__name__ if key == 'type' else repr(value)}")
+    return " ".join(settings)
+
+
+def test_parser_surface_is_pinned():
+    commands = build_parser()._subparsers._group_actions[0].choices
+    assert list(commands) == list(PARSER_SURFACE)
+    for name, parser in commands.items():
+        assert [_describe(a) for a in parser._actions] == PARSER_SURFACE[name], name
 
 
 # -- pinned output bytes ------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Rich-word enumeration and the budgeted common-superword search."""
 
 import importlib
+import multiprocessing
+import os
 
 import pytest
 
@@ -86,6 +88,37 @@ def test_parallel_enumeration_same_set():
     seq = {w.chars for w in enumerate_rich(EnumConfig(2, 8))}
     par = {w.chars for w in enumerate_rich(EnumConfig(2, 8), workers=2)}
     assert seq == par
+
+
+@pytest.mark.parametrize(
+    "workers, cores, expected",
+    [(500, 64, 4), (500, 3, 3), (2, 2, 2), (3, 64, 3), (500, None, 1)],
+)
+def test_pool_holds_at_most_one_process_per_subtree_and_core(
+    workers, cores, expected, monkeypatch
+):
+    # an inline stand-in for the pool records its size and starts no process
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, func, jobs):
+            return map(func, jobs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    config = EnumConfig(2, 5)  # 4 subtrees below the split depth 2
+    words = sorted(w.chars for w in enumerate_rich(config, workers=workers))
+    assert sizes == [expected]
+    assert words == sorted(w.chars for w in enumerate_rich(config))
 
 
 def test_enum_config_validation():
