@@ -31,6 +31,7 @@ from .reduction import (
     reduced_word,
 )
 from .search import (
+    DEFAULT_MAX_NODES,
     EnumConfig,
     SearchBudget,
     enumerate_rich,
@@ -301,16 +302,11 @@ def _cmd_enumerate(args) -> _Output:
     {"first": {}, "second": {}},
     {
         "--max-length": dict(type=int, help="longest word to try"),
-        "--max-nodes": dict(type=int, default=1_000_000),
+        "--max-nodes": dict(type=int, default=DEFAULT_MAX_NODES),
     },
 )
 def _cmd_search(args, w1: Word, w2: Word) -> _Output:
-    max_length = (
-        args.max_length
-        if args.max_length is not None
-        else len(w1.chars) + len(w2.chars)
-    )
-    budget = SearchBudget(max_length=max_length, max_nodes=args.max_nodes)
+    budget = SearchBudget(max_length=args.max_length, max_nodes=args.max_nodes)
     verdict = find_common_superword(w1, w2, budget)
     if verdict.witness is not None:
         line = f"witness {verdict.witness.chars}"
@@ -360,6 +356,8 @@ def main(argv: list[str] | None = None) -> int:
             raise _UsageError("provide a word or --file")
         if args.command == "check" and args.word is not None and args.file is not None:
             raise _UsageError("give a word or --file, not both")
+        if args.command == "check" and args.q is not None and args.file is not None:
+            raise _UsageError("--file takes its alphabet from the file, not from --q")
         texts = [t for t in (getattr(args, name) for name in names) if t is not None]
         words = _resolve_words(args.q, *texts) if texts else []
         _render(handler(args, *words), args.format)

@@ -8,7 +8,8 @@ and reversed marker together occur exactly once.
 
 The result is rich, still carries both markers, and — whenever every maximal
 flexed palindrome stays reducible — has no flexed palindrome longer than the
-longest marker.
+longest marker. The checked rewrite and the target picker live in
+``reduction``; this module trims to the marked window and drives the loop.
 """
 
 from __future__ import annotations
@@ -18,15 +19,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInconsistency, PreconditionViolation
 from .palindromes import PalIndex, is_rich, require_rich
-from .reduction import (
-    ReduciblePair,
-    ReductionTrace,
-    _conditions,
-    _flex_scan,
-    _move,
-    _reduce,
-    _guarantee_checks,
-)
+from .reduction import ReductionTrace, _flex_scan, _move, _pick_reducible, _rewrite
 from .words import Word, _Record, occ_starts, occ_str
 
 __all__ = [
@@ -144,26 +137,6 @@ def shortest_marked_factor(w: Word, start: Word, end: Word) -> Word:
     return w[i:j]
 
 
-def _pick_reducible(
-    w: Word, floor: int, idx: PalIndex, scan: dict
-) -> ReduciblePair | None:
-    """First reducible flexed palindrome longer than ``floor``, if any.
-
-    Only maximal-length flexed palindromes can pass the reducibility check;
-    equal-length candidates are tried in lexicographic order.
-    """
-    if not scan:
-        return None
-    longest = max(map(len, scan))
-    if longest <= floor:
-        return None
-    for chars in sorted(p for p in scan if len(p) == longest):
-        outcome = _conditions(w, w._wrap(chars), idx, scan)
-        if isinstance(outcome, ReduciblePair):
-            return outcome
-    return None
-
-
 def maximal_reducible(w: Word, floor: int) -> Word:
     """The longest reducible flexed palindrome of ``w`` longer than ``floor``.
 
@@ -177,8 +150,15 @@ def maximal_reducible(w: Word, floor: int) -> Word:
     return w._wrap("") if pick is None else pick.target
 
 
-def _assert_markers(res: Word, start: Word, end: Word) -> None:
-    s, p1, p2 = res.chars, start.chars, end.chars
+def _trim(
+    idx: PalIndex, scan: dict, w: Word, start: Word, end: Word
+) -> tuple[Word, dict]:
+    """Trim ``w`` to its marked window, which must keep both markers. Moves
+    ``idx`` (``w``'s index, flex scan ``scan``) there; returns window, scan."""
+    p1, p2 = start.chars, end.chars
+    i, j = _marked_span(w.chars, p1, p2)
+    res = w[i:j]
+    s = res.chars
     if not (s.startswith(p1) or s.startswith(p1[::-1])):
         raise InternalInconsistency(
             f"{s!r} lost its start marker {p1!r} during elimination"
@@ -187,6 +167,7 @@ def _assert_markers(res: Word, start: Word, end: Word) -> None:
         raise InternalInconsistency(
             f"{s!r} lost its end marker {p2!r} during elimination"
         )
+    return res, _move(idx, scan, s)
 
 
 def eliminate(w: Word, start: Word, end: Word) -> tuple[Word, EliminationTrace]:
@@ -212,16 +193,12 @@ def eliminate(w: Word, start: Word, end: Word) -> tuple[Word, EliminationTrace]:
             f"end marker {end.chars!r} is not a suffix of {s!r}"
         )
     m = max(len(start.chars), len(end.chars))
-    p1, p2 = start.chars, end.chars
     w_scan = _flex_scan(idx)
     # Every flexed palindrome of the input occurs in it, so the cap is at
     # least len(w_scan); it is summed only once the loop gets past that.
     cap = None
 
-    i, j = _marked_span(s, p1, p2)
-    res = w[i:j]
-    _assert_markers(res, start, end)
-    scan = _move(idx, w_scan, res.chars)
+    res, scan = _trim(idx, w_scan, w, start, end)
     initial = res
     steps: list[EliminationStep] = []
     iterations = 0
@@ -241,16 +218,11 @@ def eliminate(w: Word, start: Word, end: Word) -> tuple[Word, EliminationTrace]:
                 raise InternalInconsistency(
                     f"elimination of {s!r} exceeded its iteration cap {cap}"
                 )
-        before = res
-        reduction, res_scan = _reduce(pick, idx, scan)
-        _guarantee_checks(scan, reduction, idx, res_scan)
-        i, j = _marked_span(reduction.result.chars, p1, p2)
-        res = reduction.result[i:j]
-        _assert_markers(res, start, end)
-        scan = _move(idx, res_scan, res.chars)
+        reduction, res_scan = _rewrite(idx, scan, pick)
+        res, scan = _trim(idx, res_scan, reduction.result, start, end)
         steps.append(
             EliminationStep(
-                before=before,
+                before=pick.word,
                 target=pick.target,
                 reduction=reduction,
                 after=res,

@@ -11,7 +11,9 @@ word can be rewritten so that r occurs strictly fewer times while the result
 stays rich, keeps long common affixes with the original, and gains no new
 flexed palindromes. The rewrite splits the word, then either cuts at the
 second-to-last complete return to r (return case) or rebuilds the relevant
-prefix from a palindromic closure (closure case).
+prefix from a palindromic closure (closure case). ``reduced_word`` and the
+elimination loop share the one checked rewrite here; the loop's target
+picker sits beside the conditions.
 """
 
 from __future__ import annotations
@@ -176,15 +178,14 @@ def _move(idx: PalIndex, scan: dict, chars: str) -> dict:
 def flexed_palindromes(w: Word) -> tuple[FlexRecord, ...]:
     """All flexed palindromes of the rich word ``w``, in arising order.
 
-    One record per distinct palindrome; repeats keep the first position.
+    One record per distinct palindrome; repeats keep the first position. A
+    fresh scan already lists them in that order.
     """
     idx = require_rich(w)
     scan = _flex_scan(idx)
-    records = [
+    return tuple(
         FlexRecord(w._wrap(pal), pos, w._wrap(rep)) for pal, (pos, rep) in scan.items()
-    ]
-    records.sort(key=lambda rec: rec.position)
-    return tuple(records)
+    )
 
 
 def standard_replacement(w: Word, r: Word) -> Word:
@@ -237,6 +238,24 @@ def _conditions(
     return ReduciblePair(w, r, _parse_triple(w, r, idx), maximal)
 
 
+def _pick_reducible(
+    w: Word, floor: int, idx: PalIndex, scan: dict
+) -> ReduciblePair | None:
+    """First reducible flexed palindrome longer than ``floor``, if any.
+
+    Only maximal-length flexed palindromes can pass the reducibility check;
+    equal-length candidates are tried in lexicographic order.
+    """
+    longest = max(map(len, scan), default=0)
+    if longest <= floor:
+        return None
+    for chars in sorted(p for p in scan if len(p) == longest):
+        outcome = _conditions(w, w._wrap(chars), idx, scan)
+        if isinstance(outcome, ReduciblePair):
+            return outcome
+    return None
+
+
 def _evaluate(w: Word, r: Word):
     """Run the reducibility conditions 1-4 in order, recording condition 5.
 
@@ -250,6 +269,14 @@ def _evaluate(w: Word, r: Word):
     if r.chars not in scan and not is_rich(r):
         return idx, scan, ReductionRejection(1, "palindrome is not rich")
     return idx, scan, _conditions(w, r, idx, scan)
+
+
+def _reducible(w: Word, r: Word) -> tuple[PalIndex, dict, ReduciblePair]:
+    """``_evaluate``, raising ``NotReducible`` when one of conditions 1-4 fails."""
+    idx, scan, outcome = _evaluate(w, r)
+    if isinstance(outcome, ReductionRejection):
+        raise NotReducible(outcome)
+    return idx, scan, outcome
 
 
 def check_reducible(w: Word, r: Word) -> ReduciblePair | ReductionRejection:
@@ -274,14 +301,11 @@ def parse(w: Word, r: Word) -> ParseTriple:
     Needs conditions 1-4; the maximality condition 5 is not required for the
     split to be well defined (``check_reducible`` reports it).
     """
-    _, _, outcome = _evaluate(w, r)
-    if isinstance(outcome, ReductionRejection):
-        raise NotReducible(outcome)
-    return outcome.parse
+    return _reducible(w, r)[2].parse
 
 
 def _reduce(
-    pair: ReduciblePair, idx: PalIndex, scan: dict
+    idx: PalIndex, scan: dict, pair: ReduciblePair
 ) -> tuple[ReductionTrace, dict]:
     """The rewrite of ``pair`` from its word's index and scan, with the scan
     of the result. Moves ``idx`` to the result; ``scan`` stays the word's."""
@@ -401,21 +425,21 @@ def reduced_prefix(w: Word, r: Word) -> ReductionTrace:
     since the construction itself only depends on 1-4. The trace's
     ``result`` field already includes the tail.
     """
-    idx, scan, outcome = _evaluate(w, r)
-    if isinstance(outcome, ReductionRejection):
-        raise NotReducible(outcome)
-    return _reduce(outcome, idx, scan)[0]
+    return _reduce(*_reducible(w, r))[0]
 
 
-def _guarantee_checks(
-    scan: dict, trace: ReductionTrace, res_idx: PalIndex, res_scan: dict
-) -> None:
-    """The five guarantees of one rewrite, given the scan of its word and the
-    index and scan of its result; raises on any failure."""
-    s, t = trace.pair.word.chars, trace.pair.target.chars
+def _rewrite(
+    idx: PalIndex, scan: dict, pair: ReduciblePair
+) -> tuple[ReductionTrace, dict]:
+    """The rewrite of ``pair`` checked against its five guarantees, with the
+    scan of the result; raises on any failure. Moves ``idx``, the index of
+    the pair's word with flex scan ``scan``, to the result, and marks the
+    result proved rich."""
+    trace, res_scan = _reduce(idx, scan, pair)
+    s, t = pair.word.chars, pair.target.chars
     res = trace.result.chars
 
-    if not res_idx.rich:
+    if not idx.rich:
         raise InternalInconsistency(f"reduced word {res!r} is not rich")
     if not res_scan.keys() <= scan.keys():
         raise InternalInconsistency(
@@ -430,6 +454,8 @@ def _guarantee_checks(
         raise InternalInconsistency(f"common prefix of {res!r} and {s!r} too short")
     if res[-k:] != s[-k:]:
         raise InternalInconsistency(f"common suffix of {res!r} and {s!r} too short")
+    trace.result._rich = True  # the first check proved it rich
+    return trace, res_scan
 
 
 def reduced_word(w: Word, r: Word) -> tuple[Word, ReductionTrace]:
@@ -442,10 +468,5 @@ def reduced_word(w: Word, r: Word) -> tuple[Word, ReductionTrace]:
     (condition 5); the rewrite runs without maximality — conditions 1-4 —
     and the asserts then report any failure honestly.
     """
-    idx, scan, outcome = _evaluate(w, r)
-    if isinstance(outcome, ReductionRejection):
-        raise NotReducible(outcome)
-    trace, res_scan = _reduce(outcome, idx, scan)
-    _guarantee_checks(scan, trace, idx, res_scan)
-    trace.result._rich = True  # the checks proved it rich
+    trace, _ = _rewrite(*_reducible(w, r))
     return trace.result, trace

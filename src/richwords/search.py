@@ -35,6 +35,7 @@ from .palindromes import PalIndex, is_rich, pal_closure
 from .words import Alphabet, Word, _Record
 
 __all__ = [
+    "DEFAULT_MAX_NODES",
     "EnumConfig",
     "SearchBudget",
     "SearchStatus",
@@ -66,16 +67,20 @@ class EnumConfig:
             )
 
 
+DEFAULT_MAX_NODES = 1_000_000
+
+
 @dataclass(frozen=True)
 class SearchBudget(_Record):
     """Hard limits for the superword search: longest word tried and total
-    tree nodes visited across all deepening rounds."""
+    tree nodes visited across all deepening rounds. ``max_length=None``
+    means |w1| + |w2|, filled in before the verdict records the budget."""
 
-    max_length: int
-    max_nodes: int
+    max_length: int | None = None
+    max_nodes: int = DEFAULT_MAX_NODES
 
     def __post_init__(self):
-        if self.max_length < 0:
+        if self.max_length is not None and self.max_length < 0:
             raise PreconditionViolation(
                 f"max length must be nonnegative, got {self.max_length}"
             )
@@ -299,7 +304,7 @@ def find_common_superword(
     target up to reversal, and one palindromic closure then fixes
     orientation (so a returned witness may be longer than the length
     budget). Every witness is re-validated before being returned. The
-    default budget allows words up to |w1| + |w2| and a million nodes.
+    default budget is ``SearchBudget()``.
 
     No word shorter than the shortest common superstring of the targets, in
     any orientation, can hit, so those rounds are counted from a table of
@@ -316,9 +321,9 @@ def find_common_superword(
             f"targets use different alphabets: {w1.alphabet!r} vs {w2.alphabet!r}"
         )
     if budget is None:
-        budget = SearchBudget(
-            max_length=len(w1.chars) + len(w2.chars), max_nodes=1_000_000
-        )
+        budget = SearchBudget()
+    if budget.max_length is None:
+        budget = SearchBudget(len(w1.chars) + len(w2.chars), budget.max_nodes)
     p1, p2 = w1.chars, w2.chars
     r1, r2 = p1[::-1], p2[::-1]
     base = w1._wrap("")

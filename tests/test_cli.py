@@ -75,6 +75,17 @@ def test_check_rejects_word_with_file(tmp_path, capsys):
     assert run(capsys, "check", "--file", str(path), "0!1") == (2, "", err)
 
 
+@pytest.mark.parametrize("q", ["0", "2"])
+def test_check_rejects_q_with_file(q, tmp_path, capsys):
+    # the file's header gives the alphabet; the error comes before it is read
+    missing = str(tmp_path / "missing.txt")
+    err = "error: --file takes its alphabet from the file, not from --q\n"
+    assert run(capsys, "check", "--q", q, "--file", missing) == (2, "", err)
+    path = tmp_path / "words.txt"
+    path.write_text("q=2\n010\n")
+    assert run(capsys, "check", "--file", str(path), "--q", q) == (2, "", err)
+
+
 def test_invalid_letter_is_domain_error(capsys):
     code, _, err = run(capsys, "check", "--q", "2", "012")
     assert code == 1

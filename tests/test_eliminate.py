@@ -17,6 +17,7 @@ from richwords import (
     flexed_palindromes,
     is_rich,
     maximal_reducible,
+    reduced_word,
     reverse_unioccurrent,
     shortest_marked_factor,
     word,
@@ -298,6 +299,8 @@ def test_eliminate_loop_invariants_on_corpus(rich2):
                 assert st.before == prev
                 assert st.reduction.pair.word == st.before
                 assert st.reduction.pair.target == st.target
+                # the loop's rewrite is the public one
+                assert st.reduction == reduced_word(st.before, st.target)[1]
     assert ran > 500 and rewrote > 5 and undefined > 0
 
 

@@ -213,6 +213,17 @@ def test_search_input_validation(rich2):
         SearchBudget(4, 0)
 
 
+def test_search_budget_defaults_resolve_before_recording():
+    a, b = word("00", 2), word("11", 2)
+    assert SearchBudget() == SearchBudget(None, search.DEFAULT_MAX_NODES)
+    assert search.DEFAULT_MAX_NODES == 1_000_000
+    assert find_common_superword(a, b).budget == SearchBudget(4, 1_000_000)
+    v = find_common_superword(a, b, SearchBudget(max_nodes=5))
+    assert v.to_record()["budget"] == {"max_length": 4, "max_nodes": 5}
+    v = find_common_superword(word("", 2), word("", 2), SearchBudget(max_nodes=5))
+    assert v.budget == SearchBudget(0, 5)
+
+
 # -- rounds counted instead of walked ------------------------------------------------
 
 

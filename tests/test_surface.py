@@ -13,7 +13,7 @@ MODULES = [
 ]
 
 PUBLIC = [
-    "Alphabet", "AlphabetMismatch", "BoundReport", "DEFAULT_DIGIT_CAP",
+    "Alphabet", "AlphabetMismatch", "BoundReport", "DEFAULT_DIGIT_CAP", "DEFAULT_MAX_NODES",
     "DomainError", "EliminationStep", "EliminationTrace", "EmptyPattern",
     "EnumConfig", "FlexRecord", "InternalInconsistency", "LengthViolation",
     "NotAFactor", "NotAFlexedPalindrome", "NotAPrefix", "NotReducible",
