@@ -17,9 +17,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .errors import InternalInconsistency, PreconditionViolation
-from .palindromes import PalIndex, is_rich, require_rich
-from .reduction import ReductionTrace, _flex_scan, _move, _pick_reducible, _rewrite
+from .errors import InternalInconsistency, NotRich, PreconditionViolation
+from .palindromes import PalIndex, _analysis
+from .reduction import ReductionTrace, _analysed, _move, _owned, _pick_reducible, _rewrite
 from .words import Word, _Record, occ_starts, occ_str
 
 __all__ = [
@@ -70,6 +70,25 @@ class EliminationTrace(_Record):
     iterations: int
 
 
+def _only_at(s: str, p: str, at: int) -> bool:
+    """Whether ``p`` and its reverse, pooled, occur in ``s`` exactly once,
+    starting at ``at``."""
+    r = p[::-1]
+    if s.startswith(p, at):
+        return s.find(p) == at == s.rfind(p) and (r == p or r not in s)
+    return s.startswith(r, at) and s.find(r) == at == s.rfind(r) and p not in s
+
+
+def _is_window(s: str, p1: str, p2: str) -> bool:
+    """Whether ``s`` is its own marked window: each marker, orientations
+    pooled, occurs in it exactly once, the start one at the start and the
+    end one at the end. Exactly then ``_marked_span`` returns (0, len(s)),
+    and a few C-level string searches tell it before any occurrence list is
+    built. It holds on every window ``_marked_span`` returns, and on a word
+    framed by markers that occur nowhere else."""
+    return _only_at(s, p1, 0) and _only_at(s, p2, len(s) - len(p2))
+
+
 def _marked_span(s: str, p1: str, p2: str) -> tuple[int, int]:
     """Bounds of the first factor of ``s`` carrying both markers once.
 
@@ -117,12 +136,16 @@ def shortest_marked_factor(w: Word, start: Word, end: Word) -> Word:
     word itself must begin and end with the respective markers up to
     reversal. Factors of a rich word are rich, so the result is rich; so are
     the markers once the word is known to be rich and to carry them, which
-    is why only the word's richness is checked.
+    is why only the word's richness is checked. A window that is the whole
+    word is ``w`` itself, with the analysis the check kept on it for the
+    ``eliminate`` that usually follows.
     """
     if len(start.chars) == 0 or len(end.chars) == 0:
         raise PreconditionViolation("markers must be nonempty")
-    if not is_rich(w):
-        raise PreconditionViolation(f"word {w.chars!r} is not rich")
+    try:
+        _analysis(w)
+    except NotRich:
+        raise PreconditionViolation(f"word {w.chars!r} is not rich") from None
     s = w.chars
     p1, p2 = start.chars, end.chars
     if not (s.startswith(p1) or s.startswith(p1[::-1])):
@@ -134,7 +157,7 @@ def shortest_marked_factor(w: Word, start: Word, end: Word) -> Word:
             f"{s!r} does not end with the end marker {p2!r} or its reverse"
         )
     i, j = _marked_span(s, p1, p2)
-    return w[i:j]
+    return w if j - i == len(s) else w[i:j]
 
 
 def maximal_reducible(w: Word, floor: int) -> Word:
@@ -144,9 +167,7 @@ def maximal_reducible(w: Word, floor: int) -> Word:
     """
     if floor < 1:
         raise PreconditionViolation(f"floor must be a positive integer, got {floor}")
-    idx = require_rich(w)
-    scan = _flex_scan(idx)
-    pick = _pick_reducible(w, floor, idx, scan)
+    pick = _pick_reducible(w, floor, *_analysed(w))
     return w._wrap("") if pick is None else pick.target
 
 
@@ -154,8 +175,15 @@ def _trim(
     idx: PalIndex, scan: dict, w: Word, start: Word, end: Word
 ) -> tuple[Word, dict]:
     """Trim ``w`` to its marked window, which must keep both markers. Moves
-    ``idx`` (``w``'s index, flex scan ``scan``) there; returns window, scan."""
+    ``idx`` (``w``'s index, flex scan ``scan``) there; returns window, scan.
+
+    A word that is its own window stays as it is, with its index and scan.
+    That is every first trim of a window ``shortest_marked_factor`` gave,
+    and every trim of a word framed by markers that occur nowhere else.
+    """
     p1, p2 = start.chars, end.chars
+    if _is_window(w.chars, p1, p2):
+        return w, scan
     i, j = _marked_span(w.chars, p1, p2)
     res = w[i:j]
     s = res.chars
@@ -182,7 +210,7 @@ def eliminate(w: Word, start: Word, end: Word) -> tuple[Word, EliminationTrace]:
     """
     if len(start.chars) == 0 or len(end.chars) == 0:
         raise PreconditionViolation("markers must be nonempty")
-    idx = require_rich(w)
+    idx, w_scan = _owned(w)
     s = w.chars
     if not s.startswith(start.chars):
         raise PreconditionViolation(
@@ -193,7 +221,6 @@ def eliminate(w: Word, start: Word, end: Word) -> tuple[Word, EliminationTrace]:
             f"end marker {end.chars!r} is not a suffix of {s!r}"
         )
     m = max(len(start.chars), len(end.chars))
-    w_scan = _flex_scan(idx)
     # Every flexed palindrome of the input occurs in it, so the cap is at
     # least len(w_scan); it is summed only once the loop gets past that.
     cap = None
@@ -228,7 +255,10 @@ def eliminate(w: Word, start: Word, end: Word) -> tuple[Word, EliminationTrace]:
                 after=res,
             )
         )
-    res._rich = True  # the loop's last richness check passed on it
+    # The loop's last richness check passed on res, and nothing moves idx
+    # again, so res keeps it as its analysis.
+    res._rich = True
+    res._pal = (idx, scan)
     trace = EliminationTrace(
         word=w,
         start=start,

@@ -10,14 +10,15 @@ reaches the palindromic closure of w.
 from __future__ import annotations
 
 from .errors import LengthViolation, NotAPrefix
-from .palindromes import PalIndex, require_rich
+from .palindromes import PalIndex, _analysis
 from .words import Word
 
 __all__ = ["std_ext", "is_std_ext", "max_std_ext", "rich_extensions"]
 
 
 def _require_extendable(w: Word) -> PalIndex:
-    idx = require_rich(w)
+    """The index ``w`` keeps; each caller leaves it as it found it."""
+    idx = _analysis(w)[0]
     if len(w.chars) < 2:
         raise LengthViolation(
             f"standard extension needs length >= 2, got {len(w.chars)}"
@@ -28,10 +29,15 @@ def _require_extendable(w: Word) -> PalIndex:
 def _std_run(s: str, idx: PalIndex, k: int) -> int:
     """Where the standard run through ``s`` from position ``k`` stops: the
     first position whose letter is not the standard one, or ``len(s)``.
-    ``idx`` indexes ``s[:k]`` and is extended along the run."""
-    while k < len(s) and s[k] == idx.std_letter(k):
-        idx.append(s[k])
-        k += 1
+    ``idx`` indexes ``s[:k]``; it is extended along the run and cut back
+    before returning."""
+    start = k
+    try:
+        while k < len(s) and s[k] == idx.std_letter(k):
+            idx.append(s[k])
+            k += 1
+    finally:
+        idx.truncate(start)
     return k
 
 
@@ -44,10 +50,13 @@ def std_ext(w: Word, steps: int = 1) -> Word:
     if steps < 0:
         raise LengthViolation(f"step count must be >= 0, got {steps}")
     out = list(w.chars)
-    for _ in range(steps):
-        ch = idx.std_letter(len(out))
-        idx.append(ch)
-        out.append(ch)
+    try:
+        for _ in range(steps):
+            ch = idx.std_letter(len(out))
+            idx.append(ch)
+            out.append(ch)
+    finally:
+        idx.truncate(len(w.chars))
     return w._wrap("".join(out))
 
 
@@ -80,5 +89,4 @@ def rich_extensions(w: Word) -> frozenset[str]:
     Returned as display letters; always nonempty (the standard letter, or for
     very short words any letter, works).
     """
-    idx = require_rich(w)
-    return frozenset(idx.rich_letters())
+    return frozenset(_analysis(w)[0].rich_letters())

@@ -13,7 +13,13 @@ Appends can be undone with ``pop``, so one index can walk a whole search tree
 of words in depth-first order without rebuilding. ``extend`` and ``truncate``
 do the same many letters at a time, in one call: ``extend`` builds every
 index of a whole word, and ``truncate`` plus ``extend`` move an index from
-one word to the next across their common prefix.
+one word to the next across their common prefix; ``copy`` gives a caller an
+index of its own to move.
+
+A rich word keeps the index built for it (``Word._pal``), so the calls
+after the first build none. That kept index is never edited:
+``require_rich`` hands out a copy, and a call that only appends for a look
+ahead undoes every append before it returns.
 """
 
 from __future__ import annotations
@@ -74,6 +80,19 @@ class PalIndex:
     def of_word(cls, w: Word) -> "PalIndex":
         idx = cls(w.alphabet)
         idx.extend(w.chars)
+        return idx
+
+    def copy(self) -> "PalIndex":
+        """An independent index of the same word: edits to either leave the
+        other as it was."""
+        idx = PalIndex.__new__(PalIndex)
+        idx.alphabet = self.alphabet
+        idx._chars = self._chars[:]
+        idx._len = self._len[:]
+        idx._slink = self._slink[:]
+        idx._trans = [edges.copy() for edges in self._trans]
+        idx._lps_node = self._lps_node[:]
+        idx._parent = self._parent[:]
         return idx
 
     # -- growth ---------------------------------------------------------
@@ -302,10 +321,35 @@ class PalIndex:
                 yield s[end - lens[node] : end]
 
 
+def _index(w: Word) -> PalIndex:
+    """An index of any word ``w`` to read: its kept one, else a fresh build
+    that is not kept."""
+    memo = w._pal
+    return PalIndex.of_word(w) if memo is None else memo[0]
+
+
+def _analysis(w: Word) -> tuple[PalIndex, dict | None]:
+    """The analysis ``w`` keeps: its index and flex scan, the index built and
+    kept on first use. Raises ``NotRich`` when ``w`` is not rich, on every
+    call. The index must not be edited."""
+    memo = w._pal
+    if memo is None:
+        idx = PalIndex.of_word(w)
+        if not idx.rich:
+            raise _not_rich(w)
+        w._rich = True
+        memo = w._pal = (idx, None)
+    return memo
+
+
+def _not_rich(w: Word) -> NotRich:
+    return NotRich(f"{w.chars!r} is not rich")
+
+
 def lps(w: Word) -> Word:
     """Longest palindromic suffix (the empty word for the empty word)."""
     n = len(w.chars)
-    return w[n - PalIndex.of_word(w).lps_length(n) :]
+    return w[n - _index(w).lps_length(n) :]
 
 
 def lpp(w: Word) -> Word:
@@ -317,9 +361,8 @@ def lpps(w: Word) -> Word:
     """Longest proper palindromic suffix; requires |w| >= 2."""
     if len(w.chars) < 2:
         raise LengthViolation(f"lpps needs length >= 2, got {len(w.chars)}")
-    idx = PalIndex.of_word(w)
     n = len(w.chars)
-    return w[n - idx.lpps_length(n) :]
+    return w[n - _index(w).lpps_length(n) :]
 
 
 def lppp(w: Word) -> Word:
@@ -331,9 +374,8 @@ def lppp(w: Word) -> Word:
 
 def pal_factors(w: Word) -> set[Word]:
     """All distinct palindromic factors, including the empty word."""
-    idx = PalIndex.of_word(w)
     out = {w._wrap("")}
-    for p in idx.iter_palindromes():
+    for p in _index(w).iter_palindromes():
         out.add(w._wrap(p))
     return out
 
@@ -349,7 +391,8 @@ def is_rich(w: Word) -> bool:
     Tested incrementally: each appended letter must contribute a palindrome
     never seen before, equivalently the longest palindromic suffix of every
     prefix occurs there for the first time. A True verdict is kept on the
-    word, so asking again costs no index build.
+    word, so asking again costs no index build; the index itself is not
+    kept, so a caller holding many words holds no index for each.
     """
     if not w._rich:
         w._rich = PalIndex.of_word(w).rich
@@ -388,9 +431,16 @@ def complete_returns(w: Word, u: Word) -> set[Word]:
 
 def require_rich(w: Word) -> PalIndex:
     """Index ``w``, raising ``NotRich`` when it is not rich, and mark ``w``
-    proved rich."""
+    proved rich.
+
+    The index is the caller's to edit: a copy of the one ``w`` keeps, or a
+    fresh build, not kept, when it keeps none.
+    """
+    memo = w._pal
+    if memo is not None:
+        return memo[0].copy()
     idx = PalIndex.of_word(w)
     if not idx.rich:
-        raise NotRich(f"{w.chars!r} is not rich")
+        raise _not_rich(w)
     w._rich = True
     return idx

@@ -23,10 +23,11 @@ from enum import Enum
 
 from .errors import (
     NotReducible,
+    NotRich,
     InternalInconsistency,
     NotAFlexedPalindrome,
 )
-from .palindromes import PalIndex, is_rich, require_rich
+from .palindromes import PalIndex, _analysis, is_rich, require_rich
 from .words import Word, _Record, common_prefix_len, occ_starts, occ_str
 
 __all__ = [
@@ -175,14 +176,34 @@ def _move(idx: PalIndex, scan: dict, chars: str) -> dict:
     return _flex_scan(idx, scan, keep)
 
 
+def _analysed(w: Word) -> tuple[PalIndex, dict]:
+    """The index and flex scan that the rich word ``w`` keeps, each computed
+    on first use; raises ``NotRich``. Neither may be edited."""
+    idx, scan = _analysis(w)
+    if scan is None:
+        scan = _flex_scan(idx)
+        w._pal = (idx, scan)
+    return idx, scan
+
+
+def _owned(w: Word) -> tuple[PalIndex, dict]:
+    """An index of the rich word ``w`` for the caller to move, with ``w``'s
+    flex scan: a copy of the index ``w`` keeps, or a fresh build when it
+    keeps none (which is then not kept either); raises ``NotRich``."""
+    if w._pal is None:
+        idx = require_rich(w)
+        return idx, _flex_scan(idx)
+    idx, scan = _analysed(w)
+    return idx.copy(), scan
+
+
 def flexed_palindromes(w: Word) -> tuple[FlexRecord, ...]:
     """All flexed palindromes of the rich word ``w``, in arising order.
 
     One record per distinct palindrome; repeats keep the first position. A
     fresh scan already lists them in that order.
     """
-    idx = require_rich(w)
-    scan = _flex_scan(idx)
+    scan = _analysed(w)[1]
     return tuple(
         FlexRecord(w._wrap(pal), pos, w._wrap(rep)) for pal, (pos, rep) in scan.items()
     )
@@ -194,9 +215,7 @@ def standard_replacement(w: Word, r: Word) -> Word:
     Always strictly longer than ``r``. Requires ``r`` to be a flexed
     palindrome of the rich word ``w``.
     """
-    idx = require_rich(w)
-    scan = _flex_scan(idx)
-    hit = scan.get(r.chars)
+    hit = _analysed(w)[1].get(r.chars)
     if hit is None:
         raise NotAFlexedPalindrome(
             f"{r.chars!r} is not a flexed palindrome of {w.chars!r}"
@@ -256,24 +275,28 @@ def _pick_reducible(
     return None
 
 
-def _evaluate(w: Word, r: Word):
+def _evaluate(w: Word, r: Word, analyse=_analysed):
     """Run the reducibility conditions 1-4 in order, recording condition 5.
 
-    Returns (index of w, flex scan, ReduciblePair or ReductionRejection).
+    Returns (index of w, flex scan, ReduciblePair or ReductionRejection),
+    the index and scan as ``analyse`` gives them: by default those ``w``
+    keeps, ``_owned`` for a caller that moves the index.
     """
-    idx = PalIndex.of_word(w)
-    if not idx.rich:
-        return idx, None, ReductionRejection(1, "word is not rich")
-    scan = _flex_scan(idx)
+    try:
+        idx, scan = analyse(w)
+    except NotRich:
+        return None, None, ReductionRejection(1, "word is not rich")
     # A target in the scan is a factor of the rich word, hence rich.
     if r.chars not in scan and not is_rich(r):
         return idx, scan, ReductionRejection(1, "palindrome is not rich")
     return idx, scan, _conditions(w, r, idx, scan)
 
 
-def _reducible(w: Word, r: Word) -> tuple[PalIndex, dict, ReduciblePair]:
+def _reducible(
+    w: Word, r: Word, analyse=_analysed
+) -> tuple[PalIndex, dict, ReduciblePair]:
     """``_evaluate``, raising ``NotReducible`` when one of conditions 1-4 fails."""
-    idx, scan, outcome = _evaluate(w, r)
+    idx, scan, outcome = _evaluate(w, r, analyse)
     if isinstance(outcome, ReductionRejection):
         raise NotReducible(outcome)
     return idx, scan, outcome
@@ -425,7 +448,7 @@ def reduced_prefix(w: Word, r: Word) -> ReductionTrace:
     since the construction itself only depends on 1-4. The trace's
     ``result`` field already includes the tail.
     """
-    return _reduce(*_reducible(w, r))[0]
+    return _reduce(*_reducible(w, r, _owned))[0]
 
 
 def _rewrite(
@@ -468,5 +491,8 @@ def reduced_word(w: Word, r: Word) -> tuple[Word, ReductionTrace]:
     (condition 5); the rewrite runs without maximality — conditions 1-4 —
     and the asserts then report any failure honestly.
     """
-    trace, _ = _rewrite(*_reducible(w, r))
+    idx, scan, pair = _reducible(w, r, _owned)
+    trace, res_scan = _rewrite(idx, scan, pair)
+    # nothing moves idx again, so the result keeps it as its analysis
+    trace.result._pal = (idx, res_scan)
     return trace.result, trace

@@ -31,7 +31,7 @@ from enum import Enum
 from typing import Iterator
 
 from .errors import AlphabetMismatch, InternalInconsistency, NotRich, PreconditionViolation
-from .palindromes import PalIndex, is_rich, pal_closure
+from .palindromes import PalIndex, _index, is_rich, pal_closure
 from .words import Alphabet, Word, _Record
 
 __all__ = [
@@ -354,9 +354,8 @@ def find_common_superword(
 def pal_complexity_profile(w: Word) -> dict[int, int]:
     """How many distinct palindromic factors of each positive length ``w``
     has. The empty word maps to an empty profile."""
-    idx = PalIndex.of_word(w)
     profile: dict[int, int] = {}
-    lens = idx._len
+    lens = _index(w)._len
     for node in range(2, len(lens)):
         profile[lens[node]] = profile.get(lens[node], 0) + 1
     return dict(sorted(profile.items()))

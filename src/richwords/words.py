@@ -88,11 +88,20 @@ class Word:
 
     A word remembers a proved richness: ``_rich`` starts False ("not yet
     proved") and is set True once the library has proved the word rich, so
-    ``is_rich`` answers again without rebuilding an index. The verdict is a
-    function of the letters alone; equality, hashing and records ignore it.
+    ``is_rich`` answers again without rebuilding an index.
+
+    A rich word also keeps its analysis in ``_pal``: None, or a pair of its
+    ``PalIndex`` and its flex scan (None until first asked for). The calls
+    that need a rich word and read its palindromic structure set it on
+    first use and read it afterwards; ``is_rich`` keeps only its verdict,
+    and calls that accept any word read the analysis but never set it. The
+    kept index is read-only: a call that edits an index edits a copy, or a
+    fresh build when the word has no analysis. Both slots are functions of
+    the letters alone; equality, hashing, records, copies and pickles
+    ignore them.
     """
 
-    __slots__ = ("chars", "alphabet", "_rich")
+    __slots__ = ("chars", "alphabet", "_rich", "_pal")
 
     def __init__(self, chars: str, alphabet: Alphabet):
         rest = chars.lstrip(alphabet.letters)
@@ -103,13 +112,19 @@ class Word:
         self.chars = chars
         self.alphabet = alphabet
         self._rich = False
+        self._pal = None
 
     def _wrap(self, chars: str) -> "Word":
         w = Word.__new__(Word)
         w.chars = chars
         w.alphabet = self.alphabet
         w._rich = False
+        w._pal = None
         return w
+
+    def __reduce__(self):
+        # copies and pickles rebuild from the letters, without the analysis
+        return Word, (self.chars, self.alphabet)
 
     def __len__(self) -> int:
         return len(self.chars)

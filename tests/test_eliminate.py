@@ -22,7 +22,7 @@ from richwords import (
     shortest_marked_factor,
     word,
 )
-from richwords.eliminate import _marked_span
+from richwords.eliminate import _is_window, _marked_span
 
 W3 = "12145656547745656545656547874"
 W4 = "12145656547874"
@@ -127,6 +127,38 @@ def test_marked_span_matches_window_oracle_on_arbitrary_factor_markers():
                     found += 1
                     assert _marked_span(s, p1, p2) == first, (s, p1, p2)
     assert found > 10_000 and undefined > 10_000
+
+
+def test_whole_window_check_agrees_with_the_window_oracle():
+    # A word is its own marked window exactly when the oracle's first window
+    # is all of it; so is every window the oracle accepts (trimming it again
+    # keeps all of it). Checked over the arbitrary-marker sweep, with each
+    # marker handed in either orientation.
+    windows = set()
+    for s in _letter_canonical_words(3, 7):
+        classes = sorted(
+            {min(f, f[::-1]) for a in (1, 2, 3) for f in
+             (s[i : i + a] for i in range(len(s) - a + 1))}
+        )
+        for c1 in classes:
+            for c2 in classes:
+                spans = [
+                    (i, j)
+                    for i, j in oracles.marked_windows(s, c1, c2)
+                    if (s.startswith(c1, i) or s.startswith(c1[::-1], i))
+                    and (s[i:j].endswith(c2) or s[i:j].endswith(c2[::-1]))
+                ]
+                whole = spans[:1] == [(0, len(s))]
+                for p1 in (c1, c1[::-1]):
+                    for p2 in (c2, c2[::-1]):
+                        assert _is_window(s, p1, p2) == whole, (s, p1, p2)
+                windows.update((s[i:j], c1, c2) for i, j in spans)
+    for t, c1, c2 in windows:
+        for p1 in (c1, c1[::-1]):
+            for p2 in (c2, c2[::-1]):
+                assert _is_window(t, p1, p2), (t, p1, p2)
+                assert _marked_span(t, p1, p2) == (0, len(t)), (t, p1, p2)
+    assert len(windows) > 2_000
 
 
 def test_shortest_marked_factor_precondition_errors():
@@ -306,10 +338,10 @@ def test_eliminate_loop_invariants_on_corpus(rich2):
 
 @st.composite
 def framed_rich_words(draw):
-    """A random rich word of 50-600 letters over q <= 4 letters, framed by two
+    """A random rich word of 50-2,000 letters over q <= 4 letters, framed by two
     letters it does not use: (framed word, alphabet size, start, end)."""
     q = draw(st.integers(1, 4))
-    n = draw(st.integers(50, 600))
+    n = draw(st.integers(50, 2000))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     idx = PalIndex(Alphabet(q))
     for _ in range(n):
@@ -349,3 +381,29 @@ def test_eliminate_long_random_words_against_oracles(case):
     # only be a flexed xx that condition 2 keeps the loop from touching.
     for pal in oracles.flexed(out):
         assert len(pal) == 1 or (len(pal) == 2 and pal[0] == pal[1]), (s, pal)
+
+
+def test_framed_word_is_indexed_once_from_trim_to_elimination(monkeypatch):
+    # Fresh-letter markers make the marked window the whole word, which the
+    # trim returns as itself with the index its richness check built;
+    # eliminate moves a copy of that index, so the two calls build one.
+    rng = random.Random(16)
+    idx = PalIndex(Alphabet(3))
+    while len(idx) < 298:
+        idx.append(rng.choice(idx.rich_letters()))
+    w, start, end = word("3" + idx.chars + "4", 5), word("3", 5), word("4", 5)
+    built = []
+    extend = PalIndex.extend
+
+    def counted(self, text):
+        if not len(self):
+            built.append(len(text))
+        extend(self, text)
+
+    monkeypatch.setattr(PalIndex, "extend", counted)
+    win = shortest_marked_factor(w, start, end)
+    res, trace = eliminate(win, start, end)
+    assert win is w and trace.iterations > 0
+    assert built == [300]
+    monkeypatch.undo()
+    assert res == eliminate(word(w.chars, 5), start, end)[0]

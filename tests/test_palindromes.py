@@ -14,8 +14,11 @@ from richwords import (
     NotRich,
     PalIndex,
     PreconditionViolation,
+    ReductionRejection,
+    check_reducible,
     complete_returns,
     eliminate,
+    flexed_palindromes,
     is_rich,
     lpp,
     lppp,
@@ -24,10 +27,12 @@ from richwords import (
     pal_closure,
     pal_factors,
     pal_factors_avoiding,
+    rich_extensions,
     reduced_word,
     require_rich,
     reverse,
     shortest_marked_factor,
+    std_ext,
     word,
 )
 
@@ -364,7 +369,7 @@ def test_prefix_queries_reject_out_of_range_lengths():
     assert idx.chars == "0110"
 
 
-# -- the proved-richness slot -------------------------------------------------
+# -- the proved-richness and analysis slots -----------------------------------
 
 
 def test_non_rich_word_is_refused_on_every_repeat_call():
@@ -373,14 +378,75 @@ def test_non_rich_word_is_refused_on_every_repeat_call():
     for _ in range(3):
         with pytest.raises(PreconditionViolation, match="is not rich"):
             shortest_marked_factor(bad, start, end)
-        assert not bad._rich
+        for call in (require_rich, flexed_palindromes, std_ext, rich_extensions):
+            with pytest.raises(NotRich, match="is not rich"):
+                call(bad)
+        with pytest.raises(NotRich, match="is not rich"):
+            eliminate(bad, start, end)
+        assert check_reducible(bad, bad[:3]) == ReductionRejection(1, "word is not rich")
+        assert not is_rich(bad)
+        assert not bad._rich and bad._pal is None
 
 
 def test_derived_words_start_unproved():
     w = word(WF)
-    assert is_rich(w) and w._rich
+    flexed_palindromes(w)
+    assert is_rich(w) and w._rich and w._pal is not None
     for derived in (w + w, w + "0", reverse(w), pal_closure(w), w._wrap(WF), w[:]):
         assert not derived._rich, derived
+        assert derived._pal is None, derived
+
+
+def test_is_rich_keeps_only_its_verdict():
+    for s in (WF, W1, "0110", ""):
+        w = word(s)
+        assert is_rich(w) and w._rich
+        assert w._pal is None, s
+
+
+def test_library_keeps_one_analysis_per_rich_word():
+    w = word(WF)
+    recs = flexed_palindromes(w)
+    kept = w._pal
+    idx, scan = kept
+    assert idx.chars == WF and scan is not None
+    target = next(r.palindrome for r in recs if len(r.palindrome) > 2)
+    check_reducible(w, target)
+    std_ext(w, 4)
+    rich_extensions(w)
+    shortest_marked_factor(w, w[:1], w[-1:])
+    # the same index, never moved: no call built or edited another
+    assert w._pal is kept and w._pal[0] is idx
+    assert _fields(idx) == _fields(PalIndex.of_word(word(WF)))
+
+
+def test_caller_edits_to_required_index_change_no_later_answer():
+    w = word(WF)
+    recs = flexed_palindromes(w)
+    target = next(r.palindrome for r in recs if len(r.palindrome) > 2)
+    verdict = check_reducible(w, target)
+    idx = require_rich(w)
+    assert idx is not w._pal[0] and idx.chars == WF
+    idx.append("0")
+    idx.extend("1101")
+    idx.truncate(3)
+    assert flexed_palindromes(w) == recs
+    assert check_reducible(w, target) == verdict
+    assert require_rich(w).chars == WF
+
+
+def test_index_copy_is_independent_of_its_source():
+    for s, q in (("", 2), ("0", 2), (WF, 2), ("0120102", 3)):
+        source = PalIndex.of_word(word(s, q))
+        before = _fields(source)
+        dup = source.copy()
+        assert _fields(dup) == before
+        for ch in "01":
+            dup.append(ch)
+        assert _fields(source) == before, s
+        source.extend("10")
+        dup.truncate(len(s))
+        assert _fields(dup) == before, s
 
 
 def test_library_marks_the_words_it_proves_rich():
@@ -408,3 +474,14 @@ def test_copied_and_pickled_words_stay_usable():
             assert clone == w and clone.alphabet == w.alphabet
             assert is_rich(clone) == want
             assert (clone + clone).chars == w.chars * 2
+
+
+def test_copies_and_pickles_leave_the_analysis_behind():
+    analysed = word(WF)
+    flexed_palindromes(analysed)
+    assert analysed._pal is not None
+    assert len(pickle.dumps(analysed)) == len(pickle.dumps(word(WF)))
+    for clone in (copy.copy(analysed), copy.deepcopy(analysed)):
+        assert clone == analysed and clone._pal is None
+        assert flexed_palindromes(clone) == flexed_palindromes(analysed)
+        assert clone._pal[0] is not analysed._pal[0]

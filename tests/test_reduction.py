@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import oracles
 from richwords import (
     Alphabet,
+    DomainError,
     InternalInconsistency,
     NotAFlexedPalindrome,
     NotReducible,
@@ -17,15 +18,23 @@ from richwords import (
     ReductionCase,
     ReductionRejection,
     check_reducible,
+    eliminate,
     flexed_palindromes,
     is_rich,
+    is_std_ext,
     lcp,
     lcs,
+    max_std_ext,
+    maximal_reducible,
     occ,
+    pal_complexity_profile,
     parse,
     reduced_prefix,
     reduced_word,
+    rich_extensions,
+    shortest_marked_factor,
     standard_replacement,
+    std_ext,
     word,
 )
 from richwords.reduction import _flex_scan, _move
@@ -427,10 +436,10 @@ def test_rewrite_guarantees_hold_on_the_small_corpus(rich2, rich3):
 
 @st.composite
 def long_rich_words(draw):
-    """A random rich word of 50-600 letters over 2 <= q <= 5 letters (a
+    """A random rich word of 50-2,000 letters over 2 <= q <= 5 letters (a
     unary word has no flexed palindrome): (word, q)."""
     q = draw(st.integers(2, 5))
-    n = draw(st.integers(50, 600))
+    n = draw(st.integers(50, 2000))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     return _random_rich(PalIndex(Alphabet(q)), n, rng), q
 
@@ -528,3 +537,64 @@ def test_flexed_detection_from_unioccurrent_suffix(rich2):
                     checked += 1
                     assert ypy in flex, (s, v, y, p, x)
     assert checked > 100
+
+
+# -- one analysis per word ------------------------------------------------------
+
+
+def _answer(call, w):
+    """What ``call(w)`` returns, or the type and message of what it raises."""
+    try:
+        return call(w)
+    except (DomainError, InternalInconsistency) as exc:
+        return type(exc), str(exc)
+
+
+def _pipeline_calls(s, q):
+    """The benchmark corpus sweep's calls on the word ``s``, plus the other
+    readers of a word's analysis, each a function of the word alone."""
+    W = lambda chars: word(chars, q)
+    calls = [is_rich, flexed_palindromes, rich_extensions, pal_complexity_profile]
+    calls.append(lambda w: maximal_reducible(w, 1))
+    calls.append(lambda w: std_ext(w, 3))
+    for r in oracles.flexed(s):
+        if len(r) > 2:
+            calls.append(lambda w, r=r: check_reducible(w, W(r)))
+            calls.append(lambda w, r=r: reduced_word(w, W(r)))
+            calls.append(lambda w, r=r: reduced_prefix(w, W(r)))
+        calls.append(lambda w, r=r: standard_replacement(w, W(r)))
+    if len(s) >= 2:
+        u = s
+        for _ in range(3):
+            u = oracles.std_ext1(u)
+        calls.append(lambda w, u=u: is_std_ext(W(u), w))
+        calls.append(lambda w, u=u + s: max_std_ext(W(u), w))
+
+    def trimmed(a, b):
+        def call(w):
+            win = shortest_marked_factor(w, W(a), W(b))
+            t = win.chars
+            a2 = a if t.startswith(a) else a[::-1]
+            b2 = b if t.endswith(b) else b[::-1]
+            return win, eliminate(win, W(a2), W(b2))
+        return call
+
+    top = min(2, len(s))
+    calls += [trimmed(s[:i], s[-j:]) for i in range(1, top + 1) for j in range(1, top + 1)]
+    return calls
+
+
+def test_analysed_words_answer_as_fresh_ones():
+    # Each call on a word that earlier calls analysed gives what it gives on
+    # a fresh word, whichever call came first: none edits what a word keeps.
+    checked = 0
+    for q, top in ((2, 12), (3, 8)):
+        for s in oracles.rich_words(q, top):
+            calls = [(call, _answer(call, word(s, q))) for call in _pipeline_calls(s, q)]
+            for order in (calls, calls[::-1]):
+                w = word(s, q)
+                for call, want in order:
+                    assert _answer(call, w) == want, s
+                    checked += 1
+                assert w._pal is not None and w._pal[0].chars == s
+    assert checked > 300_000
