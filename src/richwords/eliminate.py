@@ -18,8 +18,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import InternalInconsistency, NotRich, PreconditionViolation
-from .palindromes import PalIndex, _analysis
-from .reduction import ReductionTrace, _analysed, _move, _owned, _pick_reducible, _rewrite
+from .palindromes import PalIndex, _analysis, _keep, _move, _owned
+from .reduction import ReductionTrace, _pick_reducible, _rewrite
 from .words import Word, _Record, occ_starts, occ_str
 
 __all__ = [
@@ -167,7 +167,7 @@ def maximal_reducible(w: Word, floor: int) -> Word:
     """
     if floor < 1:
         raise PreconditionViolation(f"floor must be a positive integer, got {floor}")
-    pick = _pick_reducible(w, floor, *_analysed(w))
+    pick = _pick_reducible(w, floor, *_analysis(w))
     return w._wrap("") if pick is None else pick.target
 
 
@@ -257,8 +257,7 @@ def eliminate(w: Word, start: Word, end: Word) -> tuple[Word, EliminationTrace]:
         )
     # The loop's last richness check passed on res, and nothing moves idx
     # again, so res keeps it as its analysis.
-    res._rich = True
-    res._pal = (idx, scan)
+    _keep(res, idx, scan)
     trace = EliminationTrace(
         word=w,
         start=start,

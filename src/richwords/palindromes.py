@@ -16,10 +16,13 @@ index of a whole word, and ``truncate`` plus ``extend`` move an index from
 one word to the next across their common prefix; ``copy`` gives a caller an
 index of its own to move.
 
-A rich word keeps the index built for it (``Word._pal``), so the calls
-after the first build none. That kept index is never edited:
-``require_rich`` hands out a copy, and a call that only appends for a look
-ahead undoes every append before it returns.
+A rich word keeps its analysis (``Word._pal``): its index and its flex
+scan, built together on first use, so the calls after the first build
+neither. Only this module reads or writes that memo, and having it is the
+proof that the word is rich. The kept index is never edited:
+``require_rich`` hands out a copy, a call that moves an index moves a copy,
+and a call that only appends for a look ahead undoes every append before it
+returns.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import EmptyPattern, LengthViolation, NotAFactor, NotRich
-from .words import Alphabet, Word, occ_starts, reverse
+from .words import Alphabet, Word, common_prefix_len, occ_starts
 
 __all__ = [
     "PalIndex",
@@ -288,13 +291,18 @@ class PalIndex:
         """
         return self._chars[k - self.lpps_length(k) - 1]
 
-    def lpp_length(self) -> int:
-        """Length of the longest palindromic prefix of the current word."""
-        lens = self._len
+    def lpp_length(self, k: int | None = None) -> int:
+        """Length of the longest palindromic prefix of the length-k prefix,
+        0 <= k <= len; by default of the current word."""
         nodes = self._lps_node
-        for k in range(len(nodes), 0, -1):
-            if lens[nodes[k - 1]] == k:
-                return k
+        if k is None:
+            k = len(nodes)
+        elif not 0 <= k <= len(nodes):
+            raise self._bad_prefix(k, 0)
+        lens = self._len
+        for j in range(k, 0, -1):
+            if lens[nodes[j - 1]] == j:
+                return j
         return 0
 
     def rich_letters(self) -> str:
@@ -328,18 +336,77 @@ def _index(w: Word) -> PalIndex:
     return PalIndex.of_word(w) if memo is None else memo[0]
 
 
-def _analysis(w: Word) -> tuple[PalIndex, dict | None]:
-    """The analysis ``w`` keeps: its index and flex scan, the index built and
-    kept on first use. Raises ``NotRich`` when ``w`` is not rich, on every
-    call. The index must not be edited."""
+def _cut(scan: dict, j: int) -> dict:
+    """A flex scan cut to the length-j prefix: that prefix's own scan."""
+    return {pal: hit for pal, hit in scan.items() if hit[0] <= j}
+
+
+def _flex_scan(idx: PalIndex, scan: dict | None = None, keep: int = 0) -> dict:
+    """Map flexed palindrome -> (first arising position, standard replacement)
+    for the word in ``idx``, as a new dict.
+
+    ``scan`` is the map of a word sharing the length-``keep`` prefix: its
+    entries arising there are kept, and only the steps beyond are scanned.
+    The very first letter is never a flexed step; a one-letter prefix
+    extends standardly only by its own letter.
+    """
+    s = idx.chars
+    # The index's lists are read directly: calling lpps_length/lps_length
+    # per step cost 10-27 % of long-elimination throughput.
+    lens, slink, nodes = idx._len, idx._slink, idx._lps_node
+    out = _cut(scan, keep) if keep else {}
+    for k in range(max(2, keep + 1), len(s) + 1):
+        u_node = nodes[k - 2]
+        plen = lens[u_node]
+        if plen == k - 1:
+            plen = lens[slink[u_node]]
+        std = s[k - 2 - plen]
+        if s[k - 1] != std:
+            pal = s[k - lens[nodes[k - 1]] : k]
+            if pal not in out:
+                out[pal] = (k, std + s[k - 1 - plen : k - 1] + std)
+    return out
+
+
+def _move(idx: PalIndex, scan: dict, chars: str) -> dict:
+    """Turn ``idx``, the index of a word with flex scan ``scan``, into the
+    index of ``chars`` and return the scan of ``chars``; ``scan`` is unchanged.
+
+    The eertree is online: truncating to the common prefix and extending by
+    the rest gives what a fresh build would, and only the rest is rescanned.
+    """
+    keep = common_prefix_len(idx.chars, chars)
+    idx.truncate(keep)
+    idx.extend(chars[keep:])
+    return _flex_scan(idx, scan, keep)
+
+
+def _analysis(w: Word) -> tuple[PalIndex, dict]:
+    """The analysis ``w`` keeps: its index and flex scan, both built and kept
+    on first use. Raises ``NotRich`` when ``w`` is not rich, on every call.
+    Neither may be edited."""
     memo = w._pal
     if memo is None:
         idx = PalIndex.of_word(w)
         if not idx.rich:
             raise _not_rich(w)
-        w._rich = True
-        memo = w._pal = (idx, None)
+        memo = w._pal = (idx, _flex_scan(idx))
     return memo
+
+
+def _owned(w: Word) -> tuple[PalIndex, dict]:
+    """An index of the rich word ``w`` for the caller to move, with ``w``'s
+    flex scan: a copy of the index ``w`` keeps, or a fresh build when it
+    keeps none, which is then not kept either. Raises ``NotRich``."""
+    idx = require_rich(w)
+    memo = w._pal
+    return idx, _flex_scan(idx) if memo is None else memo[1]
+
+
+def _keep(w: Word, idx: PalIndex, scan: dict) -> None:
+    """Keep ``idx`` and its flex scan ``scan`` as the analysis of ``w``, the
+    rich word ``idx`` indexes; nothing may move ``idx`` afterwards."""
+    w._pal = (idx, scan)
 
 
 def _not_rich(w: Word) -> NotRich:
@@ -354,7 +421,7 @@ def lps(w: Word) -> Word:
 
 def lpp(w: Word) -> Word:
     """Longest palindromic prefix (the empty word for the empty word)."""
-    return reverse(lps(reverse(w)))
+    return w[: _index(w).lpp_length(len(w.chars))]
 
 
 def lpps(w: Word) -> Word:
@@ -369,7 +436,7 @@ def lppp(w: Word) -> Word:
     """Longest proper palindromic prefix; requires |w| >= 2."""
     if len(w.chars) < 2:
         raise LengthViolation(f"lppp needs length >= 2, got {len(w.chars)}")
-    return reverse(lpps(reverse(w)))
+    return w[: _index(w).lpp_length(len(w.chars) - 1)]
 
 
 def pal_factors(w: Word) -> set[Word]:
@@ -390,13 +457,11 @@ def is_rich(w: Word) -> bool:
 
     Tested incrementally: each appended letter must contribute a palindrome
     never seen before, equivalently the longest palindromic suffix of every
-    prefix occurs there for the first time. A True verdict is kept on the
-    word, so asking again costs no index build; the index itself is not
-    kept, so a caller holding many words holds no index for each.
+    prefix occurs there for the first time. A word that keeps its analysis
+    is rich without a build; otherwise the index built here is not kept, so
+    a caller holding many words holds no index for each.
     """
-    if not w._rich:
-        w._rich = PalIndex.of_word(w).rich
-    return w._rich
+    return w._pal is not None or PalIndex.of_word(w).rich
 
 
 def pal_closure(w: Word) -> Word:
@@ -430,8 +495,7 @@ def complete_returns(w: Word, u: Word) -> set[Word]:
 
 
 def require_rich(w: Word) -> PalIndex:
-    """Index ``w``, raising ``NotRich`` when it is not rich, and mark ``w``
-    proved rich.
+    """Index ``w``, raising ``NotRich`` when it is not rich.
 
     The index is the caller's to edit: a copy of the one ``w`` keeps, or a
     fresh build, not kept, when it keeps none.
@@ -442,5 +506,4 @@ def require_rich(w: Word) -> PalIndex:
     idx = PalIndex.of_word(w)
     if not idx.rich:
         raise _not_rich(w)
-    w._rich = True
     return idx

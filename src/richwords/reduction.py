@@ -27,7 +27,7 @@ from .errors import (
     InternalInconsistency,
     NotAFlexedPalindrome,
 )
-from .palindromes import PalIndex, _analysis, is_rich, require_rich
+from .palindromes import PalIndex, _analysis, _cut, _keep, _move, is_rich
 from .words import Word, _Record, common_prefix_len, occ_starts, occ_str
 
 __all__ = [
@@ -131,79 +131,13 @@ class ReductionTrace(_Record):
         return {**record.pop("pair"), **record}
 
 
-def _cut(scan: dict, j: int) -> dict:
-    """A flex scan cut to the length-j prefix: that prefix's own scan."""
-    return {pal: hit for pal, hit in scan.items() if hit[0] <= j}
-
-
-def _flex_scan(idx: PalIndex, scan: dict | None = None, keep: int = 0) -> dict:
-    """Map flexed palindrome -> (first arising position, standard replacement)
-    for the word in ``idx``, as a new dict.
-
-    ``scan`` is the map of a word sharing the length-``keep`` prefix: its
-    entries arising there are kept, and only the steps beyond are scanned.
-    The very first letter is never a flexed step; a one-letter prefix
-    extends standardly only by its own letter.
-    """
-    s = idx.chars
-    # The index's lists are read directly: calling lpps_length/lps_length
-    # per step cost 10-27 % of long-elimination throughput.
-    lens, slink, nodes = idx._len, idx._slink, idx._lps_node
-    out = _cut(scan, keep) if keep else {}
-    for k in range(max(2, keep + 1), len(s) + 1):
-        u_node = nodes[k - 2]
-        plen = lens[u_node]
-        if plen == k - 1:
-            plen = lens[slink[u_node]]
-        std = s[k - 2 - plen]
-        if s[k - 1] != std:
-            pal = s[k - lens[nodes[k - 1]] : k]
-            if pal not in out:
-                out[pal] = (k, std + s[k - 1 - plen : k - 1] + std)
-    return out
-
-
-def _move(idx: PalIndex, scan: dict, chars: str) -> dict:
-    """Turn ``idx``, the index of a word with flex scan ``scan``, into the
-    index of ``chars`` and return the scan of ``chars``; ``scan`` is unchanged.
-
-    The eertree is online: truncating to the common prefix and extending by
-    the rest gives what a fresh build would, and only the rest is rescanned.
-    """
-    keep = common_prefix_len(idx.chars, chars)
-    idx.truncate(keep)
-    idx.extend(chars[keep:])
-    return _flex_scan(idx, scan, keep)
-
-
-def _analysed(w: Word) -> tuple[PalIndex, dict]:
-    """The index and flex scan that the rich word ``w`` keeps, each computed
-    on first use; raises ``NotRich``. Neither may be edited."""
-    idx, scan = _analysis(w)
-    if scan is None:
-        scan = _flex_scan(idx)
-        w._pal = (idx, scan)
-    return idx, scan
-
-
-def _owned(w: Word) -> tuple[PalIndex, dict]:
-    """An index of the rich word ``w`` for the caller to move, with ``w``'s
-    flex scan: a copy of the index ``w`` keeps, or a fresh build when it
-    keeps none (which is then not kept either); raises ``NotRich``."""
-    if w._pal is None:
-        idx = require_rich(w)
-        return idx, _flex_scan(idx)
-    idx, scan = _analysed(w)
-    return idx.copy(), scan
-
-
 def flexed_palindromes(w: Word) -> tuple[FlexRecord, ...]:
     """All flexed palindromes of the rich word ``w``, in arising order.
 
     One record per distinct palindrome; repeats keep the first position. A
     fresh scan already lists them in that order.
     """
-    scan = _analysed(w)[1]
+    scan = _analysis(w)[1]
     return tuple(
         FlexRecord(w._wrap(pal), pos, w._wrap(rep)) for pal, (pos, rep) in scan.items()
     )
@@ -215,7 +149,7 @@ def standard_replacement(w: Word, r: Word) -> Word:
     Always strictly longer than ``r``. Requires ``r`` to be a flexed
     palindrome of the rich word ``w``.
     """
-    hit = _analysed(w)[1].get(r.chars)
+    hit = _analysis(w)[1].get(r.chars)
     if hit is None:
         raise NotAFlexedPalindrome(
             f"{r.chars!r} is not a flexed palindrome of {w.chars!r}"
@@ -275,15 +209,15 @@ def _pick_reducible(
     return None
 
 
-def _evaluate(w: Word, r: Word, analyse=_analysed):
+def _evaluate(w: Word, r: Word):
     """Run the reducibility conditions 1-4 in order, recording condition 5.
 
     Returns (index of w, flex scan, ReduciblePair or ReductionRejection),
-    the index and scan as ``analyse`` gives them: by default those ``w``
-    keeps, ``_owned`` for a caller that moves the index.
+    the index and scan those ``w`` keeps: a caller that moves the index
+    moves a copy.
     """
     try:
-        idx, scan = analyse(w)
+        idx, scan = _analysis(w)
     except NotRich:
         return None, None, ReductionRejection(1, "word is not rich")
     # A target in the scan is a factor of the rich word, hence rich.
@@ -292,11 +226,9 @@ def _evaluate(w: Word, r: Word, analyse=_analysed):
     return idx, scan, _conditions(w, r, idx, scan)
 
 
-def _reducible(
-    w: Word, r: Word, analyse=_analysed
-) -> tuple[PalIndex, dict, ReduciblePair]:
+def _reducible(w: Word, r: Word) -> tuple[PalIndex, dict, ReduciblePair]:
     """``_evaluate``, raising ``NotReducible`` when one of conditions 1-4 fails."""
-    idx, scan, outcome = _evaluate(w, r, analyse)
+    idx, scan, outcome = _evaluate(w, r)
     if isinstance(outcome, ReductionRejection):
         raise NotReducible(outcome)
     return idx, scan, outcome
@@ -448,7 +380,8 @@ def reduced_prefix(w: Word, r: Word) -> ReductionTrace:
     since the construction itself only depends on 1-4. The trace's
     ``result`` field already includes the tail.
     """
-    return _reduce(*_reducible(w, r, _owned))[0]
+    idx, scan, pair = _reducible(w, r)
+    return _reduce(idx.copy(), scan, pair)[0]
 
 
 def _rewrite(
@@ -456,8 +389,7 @@ def _rewrite(
 ) -> tuple[ReductionTrace, dict]:
     """The rewrite of ``pair`` checked against its five guarantees, with the
     scan of the result; raises on any failure. Moves ``idx``, the index of
-    the pair's word with flex scan ``scan``, to the result, and marks the
-    result proved rich."""
+    the pair's word with flex scan ``scan``, to the result."""
     trace, res_scan = _reduce(idx, scan, pair)
     s, t = pair.word.chars, pair.target.chars
     res = trace.result.chars
@@ -477,7 +409,6 @@ def _rewrite(
         raise InternalInconsistency(f"common prefix of {res!r} and {s!r} too short")
     if res[-k:] != s[-k:]:
         raise InternalInconsistency(f"common suffix of {res!r} and {s!r} too short")
-    trace.result._rich = True  # the first check proved it rich
     return trace, res_scan
 
 
@@ -491,8 +422,9 @@ def reduced_word(w: Word, r: Word) -> tuple[Word, ReductionTrace]:
     (condition 5); the rewrite runs without maximality — conditions 1-4 —
     and the asserts then report any failure honestly.
     """
-    idx, scan, pair = _reducible(w, r, _owned)
+    idx, scan, pair = _reducible(w, r)
+    idx = idx.copy()
     trace, res_scan = _rewrite(idx, scan, pair)
     # nothing moves idx again, so the result keeps it as its analysis
-    trace.result._pal = (idx, res_scan)
+    _keep(trace.result, idx, res_scan)
     return trace.result, trace

@@ -355,7 +355,6 @@ def pal_complexity_profile(w: Word) -> dict[int, int]:
     """How many distinct palindromic factors of each positive length ``w``
     has. The empty word maps to an empty profile."""
     profile: dict[int, int] = {}
-    lens = _index(w)._len
-    for node in range(2, len(lens)):
-        profile[lens[node]] = profile.get(lens[node], 0) + 1
+    for pal in _index(w).iter_palindromes():
+        profile[len(pal)] = profile.get(len(pal), 0) + 1
     return dict(sorted(profile.items()))

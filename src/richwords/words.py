@@ -86,22 +86,18 @@ class Word:
     different alphabet declarations collide in sets; operations that need a
     shared alphabet (lcp, lcs, concatenation) check it explicitly.
 
-    A word remembers a proved richness: ``_rich`` starts False ("not yet
-    proved") and is set True once the library has proved the word rich, so
-    ``is_rich`` answers again without rebuilding an index.
-
-    A rich word also keeps its analysis in ``_pal``: None, or a pair of its
-    ``PalIndex`` and its flex scan (None until first asked for). The calls
-    that need a rich word and read its palindromic structure set it on
-    first use and read it afterwards; ``is_rich`` keeps only its verdict,
-    and calls that accept any word read the analysis but never set it. The
-    kept index is read-only: a call that edits an index edits a copy, or a
-    fresh build when the word has no analysis. Both slots are functions of
-    the letters alone; equality, hashing, records, copies and pickles
-    ignore them.
+    A rich word can keep its analysis in ``_pal``: None, or the pair of its
+    ``PalIndex`` and its flex scan, whose presence proves the word rich.
+    ``palindromes`` alone reads and writes it: the calls that need a rich
+    word and read its palindromic structure set it on first use and read it
+    afterwards, while ``is_rich``, ``require_rich`` and the calls that
+    accept any word read it but never set it. The kept index is read-only:
+    a call that edits an index edits a copy, or a fresh build when the word
+    has no analysis. The slot is a function of the letters alone; equality,
+    hashing, records, copies and pickles ignore it.
     """
 
-    __slots__ = ("chars", "alphabet", "_rich", "_pal")
+    __slots__ = ("chars", "alphabet", "_pal")
 
     def __init__(self, chars: str, alphabet: Alphabet):
         rest = chars.lstrip(alphabet.letters)
@@ -111,14 +107,12 @@ class Word:
             )
         self.chars = chars
         self.alphabet = alphabet
-        self._rich = False
         self._pal = None
 
     def _wrap(self, chars: str) -> "Word":
         w = Word.__new__(Word)
         w.chars = chars
         w.alphabet = self.alphabet
-        w._rich = False
         w._pal = None
         return w
 

@@ -35,6 +35,7 @@ from richwords import (
     std_ext,
     word,
 )
+from richwords.palindromes import _flex_scan
 
 W1 = "123999322399932442399932255223993"
 WF = "110101100110011"
@@ -85,6 +86,15 @@ def test_palindromic_affixes_match_oracle_exhaustively():
             assert lppp(w).chars == oracles.lppp(s), s
 
 
+def test_palindromic_prefixes_of_an_analysed_word_build_no_index(monkeypatch):
+    w = word(WF)
+    flexed_palindromes(w)
+    built, of_word = [], PalIndex.of_word
+    monkeypatch.setattr(PalIndex, "of_word", lambda w: built.append(w) or of_word(w))
+    assert lpp(w).chars == oracles.lpp(WF) and lppp(w).chars == oracles.lppp(WF)
+    assert built == []
+
+
 # -- palindromic factor sets -------------------------------------------------
 
 
@@ -117,13 +127,13 @@ def test_is_rich_examples():
 
 
 def test_is_rich_matches_counting_oracle_exhaustively():
-    # Asked twice of one word: the second answer may come from the proved slot.
+    # Asked twice of one word: the first answer keeps nothing on it.
     words = [(s, 2) for n in range(11) for s in oracles.all_words(2, n)]
     words += [(s, 3) for n in range(8) for s in oracles.all_words(3, n)]
     for s, q in words:
         w = word(s, q)
         want = oracles.is_rich(s)
-        assert is_rich(w) == want and w._rich == want, s
+        assert is_rich(w) == want and w._pal is None, s
         assert is_rich(w) == want, s
 
 
@@ -246,6 +256,7 @@ def test_index_tracks_prefix_statistics_exhaustively():
         assert idx.lpp_length() == len(oracles.lpp(s))
         for k in range(1, len(s) + 1):
             p = s[:k]
+            assert idx.lpp_length(k) == len(oracles.lpp(p)), (s, k)
             assert idx.lps_length(k) == len(oracles.lps(p)), (s, k)
             assert idx.lpps_length(k) == len(oracles.lpps(p) if k >= 2 else ""), (s, k)
             assert idx.std_letter(k) == oracles.std_letter(p), (s, k)
@@ -358,6 +369,7 @@ def test_prefix_queries_reject_out_of_range_lengths():
     assert [idx.lps_length(k) for k in range(5)] == [0, 1, 1, 2, 4]
     for query, bad in (
         (idx.lps_length, (-1, 5)),
+        (idx.lpp_length, (-1, 5)),
         (idx.lps_is_new, (-1, 0, 5)),
         (idx.lpps_length, (-1, 0, 5)),
         (idx.std_letter, (-1, 0, 5)),
@@ -369,7 +381,7 @@ def test_prefix_queries_reject_out_of_range_lengths():
     assert idx.chars == "0110"
 
 
-# -- the proved-richness and analysis slots -----------------------------------
+# -- the analysis slot ---------------------------------------------------------
 
 
 def test_non_rich_word_is_refused_on_every_repeat_call():
@@ -385,23 +397,25 @@ def test_non_rich_word_is_refused_on_every_repeat_call():
             eliminate(bad, start, end)
         assert check_reducible(bad, bad[:3]) == ReductionRejection(1, "word is not rich")
         assert not is_rich(bad)
-        assert not bad._rich and bad._pal is None
+        assert bad._pal is None
 
 
 def test_derived_words_start_unproved():
     w = word(WF)
     flexed_palindromes(w)
-    assert is_rich(w) and w._rich and w._pal is not None
+    assert is_rich(w) and w._pal is not None
     for derived in (w + w, w + "0", reverse(w), pal_closure(w), w._wrap(WF), w[:]):
-        assert not derived._rich, derived
         assert derived._pal is None, derived
 
 
-def test_is_rich_keeps_only_its_verdict():
-    for s in (WF, W1, "0110", ""):
-        w = word(s)
-        assert is_rich(w) and w._rich
-        assert w._pal is None, s
+def test_is_rich_keeps_nothing_and_reads_a_kept_analysis(monkeypatch):
+    words = [word(s) for s in (WF, W1, "0110", "")]
+    for w in words:
+        assert is_rich(w) and w._pal is None, w
+        flexed_palindromes(w)
+    built, of_word = [], PalIndex.of_word
+    monkeypatch.setattr(PalIndex, "of_word", lambda w: built.append(w) or of_word(w))
+    assert all(is_rich(w) for w in words) and built == []
 
 
 def test_library_keeps_one_analysis_per_rich_word():
@@ -452,16 +466,22 @@ def test_index_copy_is_independent_of_its_source():
 def test_library_marks_the_words_it_proves_rich():
     w = word(WF)
     require_rich(w)
-    assert w._rich
+    assert w._pal is None
     res, _ = reduced_word(word("12145656547745656545656547874"), word("656"))
-    assert res._rich and oracles.is_rich(res.chars)
+    assert res._pal is not None and oracles.is_rich(res.chars)
     final, _ = eliminate(word(WF), word("1", 2), word("1", 2))
-    assert final._rich and oracles.is_rich(final.chars)
+    assert final._pal is not None and oracles.is_rich(final.chars)
+    for kept in (res, final):
+        idx, scan = kept._pal
+        fresh = PalIndex.of_word(word(kept.chars, kept.alphabet.size))
+        assert _fields(idx) == _fields(fresh)
+        assert list(scan.items()) == list(_flex_scan(fresh).items())
 
 
 def test_proved_slot_is_invisible_to_equality_hash_and_repr():
     proved, fresh = word(WF), word(WF)
-    assert is_rich(proved) and not fresh._rich
+    flexed_palindromes(proved)
+    assert proved._pal is not None and fresh._pal is None
     assert proved == fresh and hash(proved) == hash(fresh)
     assert repr(proved) == repr(fresh)
 

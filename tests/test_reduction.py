@@ -37,7 +37,8 @@ from richwords import (
     std_ext,
     word,
 )
-from richwords.reduction import _flex_scan, _move
+from richwords.palindromes import _flex_scan, _move
+from test_palindromes import _fields
 
 W1 = "123999322399932442399932255223993"
 W2 = "123999599932239949"
@@ -586,15 +587,19 @@ def _pipeline_calls(s, q):
 
 def test_analysed_words_answer_as_fresh_ones():
     # Each call on a word that earlier calls analysed gives what it gives on
-    # a fresh word, whichever call came first: none edits what a word keeps.
+    # a fresh word, whichever call came first: none edits what a word keeps,
+    # and what it keeps is whole, the index and scan of a fresh build.
     checked = 0
     for q, top in ((2, 12), (3, 8)):
         for s in oracles.rich_words(q, top):
             calls = [(call, _answer(call, word(s, q))) for call in _pipeline_calls(s, q)]
+            fresh = PalIndex.of_word(word(s, q))
+            whole = _fields(fresh), list(_flex_scan(fresh).items())
             for order in (calls, calls[::-1]):
                 w = word(s, q)
                 for call, want in order:
                     assert _answer(call, w) == want, s
                     checked += 1
-                assert w._pal is not None and w._pal[0].chars == s
+                idx, scan = w._pal
+                assert (_fields(idx), list(scan.items())) == whole, s
     assert checked > 300_000

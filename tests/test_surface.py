@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 
@@ -62,3 +63,16 @@ def test_import_leaves_multiprocessing_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout == "False\n"
+
+
+def test_word_memo_and_index_lists_are_read_in_palindromes_alone():
+    # A word's kept analysis and the eertree's lists are one module's
+    # business; words.py only declares the slot.
+    private = re.compile(r"\._(pal|len|slink|lps_node|parent|trans)\b")
+    package = os.path.dirname(richwords.__file__)
+    readers = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name not in ("palindromes.py", "words.py"):
+            with open(os.path.join(package, name), encoding="utf-8") as f:
+                readers += [(name, m.group()) for m in private.finditer(f.read())]
+    assert readers == []
