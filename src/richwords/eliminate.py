@@ -14,13 +14,12 @@ longest marker. The checked rewrite and the target picker live in
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import InternalInconsistency, NotRich, PreconditionViolation
 from .palindromes import PalIndex, _analysis, _keep, _move, _owned
 from .reduction import ReductionTrace, _pick_reducible, _rewrite
-from .words import Word, _Record, occ_starts, occ_str
+from .words import Word, _Record, occ_str
 
 __all__ = [
     "EliminationStep",
@@ -83,9 +82,9 @@ def _is_window(s: str, p1: str, p2: str) -> bool:
     """Whether ``s`` is its own marked window: each marker, orientations
     pooled, occurs in it exactly once, the start one at the start and the
     end one at the end. Exactly then ``_marked_span`` returns (0, len(s)),
-    and a few C-level string searches tell it before any occurrence list is
-    built. It holds on every window ``_marked_span`` returns, and on a word
-    framed by markers that occur nowhere else."""
+    and a few C-level string searches tell it without visiting every tail.
+    It holds on every window ``_marked_span`` returns, and on a word framed
+    by markers that occur nowhere else."""
     return _only_at(s, p1, 0) and _only_at(s, p2, len(s) - len(p2))
 
 
@@ -99,31 +98,42 @@ def _marked_span(s: str, p1: str, p2: str) -> tuple[int, int]:
     Each tail occurrence t ends at most one candidate, at j = t + |p2|: it
     must start at the last head h with h + |p1| <= j (an earlier start holds
     that head too) and hold no other tail (h <= t, previous tail before h).
-    One pass over the tails, a bisect each: O(n log n) after the O(n) scans.
-    A palindromic marker (every single letter) is scanned once; the two
-    orientations of any other never start at the same position.
+    The tails are visited in order by ``str.find`` and each one's head is
+    one ``str.rfind`` per head orientation, between the previous tail and j,
+    so the scans run at C speed and build no occurrence list. A palindromic
+    marker (every single letter) is searched once; the two orientations of
+    any other never start at the same position.
     """
-    heads, tails = (
-        occ_starts(s, p) if p == p[::-1]
-        else sorted(occ_starts(s, p) + occ_starts(s, p[::-1]))
-        for p in (p1, p2)
-    )
-    len1, len2 = len(p1), len(p2)
-    spans = []
+    r1, r2 = p1[::-1], p2[::-1]
+    len2 = len(p2)
+    find, rfind = s.find, s.rfind
+    best = None
     prev = -1
-    for t in tails:
-        k = bisect_right(heads, t + len2 - len1)
-        if k and prev < heads[k - 1] <= t:
-            spans.append((t + len2 - heads[k - 1], heads[k - 1]))
+    # the next start, at or after the current tail, of each tail orientation
+    a = find(p2)
+    b = -1 if r2 == p2 else find(r2)
+    while a >= 0 or b >= 0:
+        if b < 0 or 0 <= a < b:
+            t = a
+            a = find(p2, t + 1)
+        else:
+            t = b
+            b = find(r2, t + 1)
+        j = t + len2
+        h = rfind(p1, prev + 1, j)
+        if r1 != p1:
+            h = max(h, rfind(r1, prev + 1, j))
+        if 0 <= h <= t and (best is None or (j - h, h) < best):
+            best = (j - h, h)
         prev = t
-    if not spans:
+    if best is None:
         # Reachable for overlapping markers (e.g. one marker inside the
         # other): every window carrying the second marker then repeats the
         # first, so no factor can hold both exactly once.
         raise PreconditionViolation(
             f"no factor of {s!r} carries markers {p1!r}, {p2!r} reverse-unioccurrently"
         )
-    length, i = min(spans)
+    length, i = best
     return i, i + length
 
 
@@ -195,7 +205,7 @@ def _trim(
         raise InternalInconsistency(
             f"{s!r} lost its end marker {p2!r} during elimination"
         )
-    return res, _move(idx, scan, s)
+    return res, _move(idx, scan, w.chars, s)
 
 
 def eliminate(w: Word, start: Word, end: Word) -> tuple[Word, EliminationTrace]:

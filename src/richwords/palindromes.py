@@ -336,49 +336,87 @@ def _index(w: Word) -> PalIndex:
     return PalIndex.of_word(w) if memo is None else memo[0]
 
 
-def _cut(scan: dict, j: int) -> dict:
-    """A flex scan cut to the length-j prefix: that prefix's own scan."""
-    return {pal: hit for pal, hit in scan.items() if hit[0] <= j}
+class _FlexScan(dict):
+    """A word's flex scan: flexed palindrome -> (first arising position,
+    standard replacement), inserted in ascending first-arising position,
+    and ``lpp``, the length of the word's longest palindromic prefix, which
+    reducibility condition 4 reads."""
+
+    __slots__ = ("lpp",)
 
 
-def _flex_scan(idx: PalIndex, scan: dict | None = None, keep: int = 0) -> dict:
-    """Map flexed palindrome -> (first arising position, standard replacement)
-    for the word in ``idx``, as a new dict.
+def _cut(scan: dict, j: int) -> _FlexScan:
+    """A flex scan cut to the length-j prefix: that prefix's own entries.
+    Its ``lpp`` is left unset. Entries ascend in position, so only the
+    trailing ones beyond j are dropped."""
+    out = _FlexScan(scan)
+    while out:
+        pal, hit = out.popitem()
+        if hit[0] <= j:
+            out[pal] = hit
+            break
+    return out
 
-    ``scan`` is the map of a word sharing the length-``keep`` prefix: its
-    entries arising there are kept, and only the steps beyond are scanned.
+
+def _flex_scan(
+    idx: PalIndex, s: str, out: _FlexScan | None = None, keep: int = 0
+) -> _FlexScan:
+    """The flex scan of ``s``, the word in ``idx``.
+
+    ``out`` is the scan of the length-``keep`` prefix of ``s``, its ``lpp``
+    set; it is extended in place and returned, and only the steps beyond
+    that prefix are scanned. By default the scan starts from the empty word.
     The very first letter is never a flexed step; a one-letter prefix
     extends standardly only by its own letter.
     """
-    s = idx.chars
     # The index's lists are read directly: calling lpps_length/lps_length
     # per step cost 10-27 % of long-elimination throughput.
     lens, slink, nodes = idx._len, idx._slink, idx._lps_node
-    out = _cut(scan, keep) if keep else {}
-    for k in range(max(2, keep + 1), len(s) + 1):
+    if out is None:
+        out = _FlexScan()
+        lpp = 0
+    else:
+        lpp = out.lpp
+    n = len(s)
+    for k in range(max(2, keep + 1), n + 1):
         u_node = nodes[k - 2]
         plen = lens[u_node]
         if plen == k - 1:
+            # the length-(k-1) prefix is a palindrome
+            lpp = plen
             plen = lens[slink[u_node]]
         std = s[k - 2 - plen]
         if s[k - 1] != std:
             pal = s[k - lens[nodes[k - 1]] : k]
             if pal not in out:
                 out[pal] = (k, std + s[k - 1 - plen : k - 1] + std)
+    if n and lens[nodes[-1]] == n:
+        lpp = n
+    out.lpp = lpp
     return out
 
 
-def _move(idx: PalIndex, scan: dict, chars: str) -> dict:
-    """Turn ``idx``, the index of a word with flex scan ``scan``, into the
+def _move(idx: PalIndex, scan: _FlexScan, s: str, chars: str) -> _FlexScan:
+    """Turn ``idx``, the index of ``s`` with flex scan ``scan``, into the
     index of ``chars`` and return the scan of ``chars``; ``scan`` is unchanged.
 
     The eertree is online: truncating to the common prefix and extending by
     the rest gives what a fresh build would, and only the rest is rescanned.
     """
-    keep = common_prefix_len(idx.chars, chars)
+    keep = common_prefix_len(s, chars)
+    out = _cut(scan, keep)
+    # The palindromic prefixes of s shorter than its longest one P are the
+    # palindromic suffixes of P, down P's suffix links: the first of length
+    # <= keep is the kept prefix's longest. Read before truncate deletes
+    # the nodes of the longer ones.
+    lens, slink = idx._len, idx._slink
+    node = idx._lps_node[scan.lpp - 1] if scan.lpp else 1
+    while lens[node] > keep:
+        node = slink[node]
+    out.lpp = lens[node]
     idx.truncate(keep)
     idx.extend(chars[keep:])
-    return _flex_scan(idx, scan, keep)
+    return _flex_scan(idx, chars, out, keep)
 
 
 def _analysis(w: Word) -> tuple[PalIndex, dict]:
@@ -390,7 +428,7 @@ def _analysis(w: Word) -> tuple[PalIndex, dict]:
         idx = PalIndex.of_word(w)
         if not idx.rich:
             raise _not_rich(w)
-        memo = w._pal = (idx, _flex_scan(idx))
+        memo = w._pal = (idx, _flex_scan(idx, w.chars))
     return memo
 
 
@@ -400,7 +438,7 @@ def _owned(w: Word) -> tuple[PalIndex, dict]:
     keeps none, which is then not kept either. Raises ``NotRich``."""
     idx = require_rich(w)
     memo = w._pal
-    return idx, _flex_scan(idx) if memo is None else memo[1]
+    return idx, _flex_scan(idx, w.chars) if memo is None else memo[1]
 
 
 def _keep(w: Word, idx: PalIndex, scan: dict) -> None:

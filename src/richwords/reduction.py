@@ -27,7 +27,7 @@ from .errors import (
     InternalInconsistency,
     NotAFlexedPalindrome,
 )
-from .palindromes import PalIndex, _analysis, _cut, _keep, _move, is_rich
+from .palindromes import PalIndex, _FlexScan, _analysis, _cut, _keep, _move, is_rich
 from .words import Word, _Record, common_prefix_len, occ_starts, occ_str
 
 __all__ = [
@@ -168,7 +168,7 @@ def _parse_triple(w: Word, r: Word, idx: PalIndex) -> ParseTriple:
 
 
 def _conditions(
-    w: Word, r: Word, idx: PalIndex, scan: dict[str, tuple[int, str]]
+    w: Word, r: Word, idx: PalIndex, scan: _FlexScan
 ) -> ReduciblePair | ReductionRejection:
     """Conditions 2 through 4 for rich ``w`` and ``r``, given ``w``'s index and scan.
 
@@ -183,7 +183,7 @@ def _conditions(
         return ReductionRejection(
             3, "palindrome is not a flexed palindrome of the word"
         )
-    if r.chars in w.chars[: idx.lpp_length()]:
+    if r.chars in w.chars[: scan.lpp]:
         return ReductionRejection(
             4, "palindrome occurs in the longest palindromic prefix"
         )
@@ -327,7 +327,7 @@ def _reduce(
             )
     wrap = w._wrap
     result = wrap(reduced + tail)
-    res_scan = _move(idx, scan, result.chars)
+    res_scan = _move(idx, scan, s, result.chars)
     if case is ReductionCase.CLOSURE:
         # The closure is a standard extension of the probe, so the pick can
         # never add a flexed palindrome; when the pick extends the whole

@@ -23,9 +23,19 @@ from richwords import (
     word,
 )
 from richwords.eliminate import _is_window, _marked_span
+from test_palindromes import refereed_moves
 
 W3 = "12145656547745656545656547874"
 W4 = "12145656547874"
+
+
+@pytest.fixture(autouse=True)
+def _refereed():
+    # Every index move a test here makes is refereed. A fixture, not a line
+    # in each test: the derandomized property tests draw their examples from
+    # a digest of their source, which stays as it was.
+    with refereed_moves():
+        yield
 
 
 # -- reverse-unioccurrence ----------------------------------------------------
@@ -127,6 +137,39 @@ def test_marked_span_matches_window_oracle_on_arbitrary_factor_markers():
                     found += 1
                     assert _marked_span(s, p1, p2) == first, (s, p1, p2)
     assert found > 10_000 and undefined > 10_000
+
+
+def test_marked_span_matches_window_oracle_on_four_letter_markers():
+    # The benchmark's corpus sweep and criterion 04 trim with markers of up
+    # to 4 letters: every pair of factor classes of 1-4 letters of binary
+    # words up to 9 letters, each marker handed in all four orientations.
+    found = undefined = 0
+    for s in _letter_canonical_words(2, 9):
+        classes = sorted(
+            {min(f, f[::-1]) for a in (1, 2, 3, 4) for f in
+             (s[i : i + a] for i in range(len(s) - a + 1))}
+        )
+        for c1 in classes:
+            for c2 in classes:
+                first = next(
+                    (
+                        (i, j)
+                        for i, j in oracles.marked_windows(s, c1, c2)
+                        if (s.startswith(c1, i) or s.startswith(c1[::-1], i))
+                        and (s[i:j].endswith(c2) or s[i:j].endswith(c2[::-1]))
+                    ),
+                    None,
+                )
+                for p1 in {c1, c1[::-1]}:
+                    for p2 in {c2, c2[::-1]}:
+                        if first is None:
+                            undefined += 1
+                            with pytest.raises(PreconditionViolation):
+                                _marked_span(s, p1, p2)
+                        else:
+                            found += 1
+                            assert _marked_span(s, p1, p2) == first, (s, p1, p2)
+    assert found > 80_000 and undefined > 60_000
 
 
 def test_whole_window_check_agrees_with_the_window_oracle():

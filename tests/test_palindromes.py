@@ -1,8 +1,10 @@
 """Palindrome machinery against the naive oracle, exhaustively at small sizes."""
 
+import contextlib
 import copy
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -35,7 +37,7 @@ from richwords import (
     std_ext,
     word,
 )
-from richwords.palindromes import _flex_scan
+from richwords.palindromes import _flex_scan, _move
 
 W1 = "123999322399932442399932255223993"
 WF = "110101100110011"
@@ -299,6 +301,36 @@ def _appended(s, q):
     return idx
 
 
+@contextlib.contextmanager
+def refereed_moves():
+    """Referee every index move the pipeline makes (the rewrite of
+    ``reduced_word`` and ``reduced_prefix``, each elimination pass, each trim
+    that cuts the word): the flex scan a move returns must equal a fresh
+    index's, entry for entry and in order, its positions must ascend, and
+    the longest palindromic prefix it carries must be the fresh index's.
+    The fresh index is built by ``append``, so letters counted through
+    ``extend`` stay the pipeline's. Yields the list of words moved to."""
+    moved = []
+
+    def move(idx, scan, s, chars):
+        out = _move(idx, scan, s, chars)
+        fresh = PalIndex(idx.alphabet)
+        for ch in chars:
+            fresh.append(ch)
+        assert list(out.items()) == list(_flex_scan(fresh, chars).items()), (s, chars)
+        positions = [hit[0] for hit in out.values()]
+        assert positions == sorted(set(positions)), (s, chars)
+        assert out.lpp == fresh.lpp_length(), (s, chars)
+        moved.append(chars)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        # the package re-exports the function eliminate over its module's name
+        for module in ("richwords.reduction", "richwords.eliminate"):
+            patch.setattr(sys.modules[module], "_move", move)
+        yield moved
+
+
 def test_extend_and_truncate_match_append_and_pop_field_for_field():
     for q, top in ((2, 10), (3, 7)):
         for n in range(top + 1):
@@ -475,7 +507,7 @@ def test_library_marks_the_words_it_proves_rich():
         idx, scan = kept._pal
         fresh = PalIndex.of_word(word(kept.chars, kept.alphabet.size))
         assert _fields(idx) == _fields(fresh)
-        assert list(scan.items()) == list(_flex_scan(fresh).items())
+        assert list(scan.items()) == list(_flex_scan(fresh, kept.chars).items())
 
 
 def test_proved_slot_is_invisible_to_equality_hash_and_repr():

@@ -38,13 +38,22 @@ from richwords import (
     word,
 )
 from richwords.palindromes import _flex_scan, _move
-from test_palindromes import _fields
+from test_palindromes import _fields, refereed_moves
 
 W1 = "123999322399932442399932255223993"
 W2 = "123999599932239949"
 W3 = "12145656547745656545656547874"
 W4 = "12145656547874"
 WF = "110101100110011"
+
+
+@pytest.fixture(autouse=True)
+def _refereed():
+    # Every index move a test here makes is refereed. A fixture, not a line
+    # in each test: the derandomized property tests draw their examples from
+    # a digest of their source, which stays as it was.
+    with refereed_moves():
+        yield
 
 
 def rich_with_candidates(corpus, q, min_len=3):
@@ -113,6 +122,7 @@ def _index_view(idx, scan):
         list(scan.items()),
         idx.rich,
         idx.lpp_length(),
+        scan.lpp,
         [idx.lps_length(k) for k in range(n + 1)],
         [idx.std_letter(k) for k in range(1, n + 1)],
     )
@@ -129,21 +139,21 @@ def test_prefix_scan_and_popped_index_match_a_fresh_prefix():
     # The eertree is online: popping an index back to the common prefix of
     # two words and appending the rest answers like a fresh index of the
     # second word, and the first word's flexed-palindrome scan cut at that
-    # prefix, extended beyond it, is the second word's scan. Elimination
-    # moves one index from word to word on the strength of this; the scan
-    # passed in stays the first word's.
+    # prefix, extended beyond it, is the second word's scan; so is its
+    # longest palindromic prefix. Elimination moves one index from word to
+    # word on the strength of this; the scan passed in stays the first word's.
     for q, max_len in ((2, 12), (3, 8)):
-        # Every word, rich or not, popped back to every prefix length.
+        # Every word, rich or not, cut back to every prefix length.
         fresh = {}
         for n in range(max_len + 1):
             for s in oracles.all_words(q, n):
-                idx = PalIndex.of_word(word(s, q))
-                scan = _flex_scan(idx)
+                whole = PalIndex.of_word(word(s, q))
+                scan = _flex_scan(whole, s)
                 before = list(scan.items())
-                fresh[s] = _index_view(idx, scan)
+                fresh[s] = _index_view(whole, scan)
                 for k in range(n - 1, -1, -1):
-                    idx.pop()
-                    cut = _flex_scan(idx, scan, k)
+                    idx = whole.copy()
+                    cut = _move(idx, scan, s, s[:k])
                     assert _index_view(idx, cut) == fresh[s[:k]], (s, k)
                 assert list(scan.items()) == before, s
     for q, max_len in ((2, 7), (3, 5)):
@@ -151,16 +161,16 @@ def test_prefix_scan_and_popped_index_match_a_fresh_prefix():
         fresh = {}
         for s in words:
             idx = PalIndex.of_word(word(s, q))
-            fresh[s] = _index_view(idx, _flex_scan(idx))
+            fresh[s] = _index_view(idx, _flex_scan(idx, s))
         # Moving to b and back covers the ordered pairs (a, b) and (b, a).
         for i, a in enumerate(words):
             idx = PalIndex.of_word(word(a, q))
-            scan = _flex_scan(idx)
+            scan = _flex_scan(idx, a)
             for b in words[i:]:
-                moved = _move(idx, scan, b)
+                moved = _move(idx, scan, a, b)
                 assert _index_view(idx, moved) == fresh[b], (a, b)
                 assert list(scan.items()) == fresh[a][0], (a, b)
-                back = _move(idx, moved, a)
+                back = _move(idx, moved, b, a)
                 assert _index_view(idx, back) == fresh[a], (b, a)
                 assert list(moved.items()) == fresh[b][0], (b, a)
     # Long rich words sharing a prefix of random length.
@@ -174,12 +184,23 @@ def test_prefix_scan_and_popped_index_match_a_fresh_prefix():
             grow.pop()
         b = _random_rich(grow, rng.randint(keep, 600), rng)
         idx = PalIndex.of_word(word(a, q))
-        scan = _flex_scan(idx)
+        scan = _flex_scan(idx, a)
         before = list(scan.items())
-        moved = _move(idx, scan, b)
+        moved = _move(idx, scan, a, b)
         new = PalIndex.of_word(word(b, q))
-        assert _index_view(idx, moved) == _index_view(new, _flex_scan(new)), (a, b)
+        assert _index_view(idx, moved) == _index_view(new, _flex_scan(new, b)), (a, b)
         assert list(scan.items()) == before, (a, b)
+
+
+def test_pipeline_moves_go_through_the_referee():
+    # The referee replaces the one mover that reduction and eliminate call;
+    # a move that bypassed it would go unchecked in every other test here.
+    with refereed_moves() as moved:
+        reduced_word(word(W2), word("999"))
+        eliminate(word("000000001011", 2), word("00", 2), word("11", 2))
+    # reduced_word's rewrite; then eliminate's first trim and its one
+    # rewrite, whose result is its own window
+    assert moved == ["1239932239949", "001011", "0011"]
 
 
 def test_flex_record_serialization():
@@ -594,7 +615,7 @@ def test_analysed_words_answer_as_fresh_ones():
         for s in oracles.rich_words(q, top):
             calls = [(call, _answer(call, word(s, q))) for call in _pipeline_calls(s, q)]
             fresh = PalIndex.of_word(word(s, q))
-            whole = _fields(fresh), list(_flex_scan(fresh).items())
+            whole = _fields(fresh), list(_flex_scan(fresh, s).items())
             for order in (calls, calls[::-1]):
                 w = word(s, q)
                 for call, want in order:
@@ -603,3 +624,4 @@ def test_analysed_words_answer_as_fresh_ones():
                 idx, scan = w._pal
                 assert (_fields(idx), list(scan.items())) == whole, s
     assert checked > 300_000
+
