@@ -44,11 +44,13 @@ def _ceil_log2(n: int) -> int:
 
 
 def digit_count(n: int) -> int:
-    """Decimal digits of a positive integer.
+    """Decimal digits of a positive integer; anything else raises
+    ``PreconditionViolation``.
 
     Avoids str() so the interpreter's integer-to-string size guard (4300
     digits by default) cannot reject values that are merely large.
     """
+    _require_positive(n, "n")
     if n < 10**15:
         return len(str(n))
     d = int(n.bit_length() * 0.30102999566398114)

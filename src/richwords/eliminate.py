@@ -69,25 +69,6 @@ class EliminationTrace(_Record):
     iterations: int
 
 
-def _only_at(s: str, p: str, at: int) -> bool:
-    """Whether ``p`` and its reverse, pooled, occur in ``s`` exactly once,
-    starting at ``at``."""
-    r = p[::-1]
-    if s.startswith(p, at):
-        return s.find(p) == at == s.rfind(p) and (r == p or r not in s)
-    return s.startswith(r, at) and s.find(r) == at == s.rfind(r) and p not in s
-
-
-def _is_window(s: str, p1: str, p2: str) -> bool:
-    """Whether ``s`` is its own marked window: each marker, orientations
-    pooled, occurs in it exactly once, the start one at the start and the
-    end one at the end. Exactly then ``_marked_span`` returns (0, len(s)),
-    and a few C-level string searches tell it without visiting every tail.
-    It holds on every window ``_marked_span`` returns, and on a word framed
-    by markers that occur nowhere else."""
-    return _only_at(s, p1, 0) and _only_at(s, p2, len(s) - len(p2))
-
-
 def _marked_span(s: str, p1: str, p2: str) -> tuple[int, int]:
     """Bounds of the first factor of ``s`` carrying both markers once.
 
@@ -187,14 +168,13 @@ def _trim(
     """Trim ``w`` to its marked window, which must keep both markers. Moves
     ``idx`` (``w``'s index, flex scan ``scan``) there; returns window, scan.
 
-    A word that is its own window stays as it is, with its index and scan.
-    That is every first trim of a window ``shortest_marked_factor`` gave,
-    and every trim of a word framed by markers that occur nowhere else.
+    A word that is its own marked window stays as it is, with its index and
+    scan, just as ``shortest_marked_factor`` returns it.
     """
     p1, p2 = start.chars, end.chars
-    if _is_window(w.chars, p1, p2):
-        return w, scan
     i, j = _marked_span(w.chars, p1, p2)
+    if j - i == len(w.chars):
+        return w, scan
     res = w[i:j]
     s = res.chars
     if not (s.startswith(p1) or s.startswith(p1[::-1])):

@@ -425,30 +425,28 @@ def _analysis(w: Word) -> tuple[PalIndex, dict]:
     Neither may be edited."""
     memo = w._pal
     if memo is None:
-        idx = PalIndex.of_word(w)
-        if not idx.rich:
-            raise _not_rich(w)
-        memo = w._pal = (idx, _flex_scan(idx, w.chars))
+        memo = w._pal = _owned(w)
     return memo
 
 
 def _owned(w: Word) -> tuple[PalIndex, dict]:
     """An index of the rich word ``w`` for the caller to move, with ``w``'s
-    flex scan: a copy of the index ``w`` keeps, or a fresh build when it
-    keeps none, which is then not kept either. Raises ``NotRich``."""
-    idx = require_rich(w)
+    flex scan: a copy of the index ``w`` keeps, with the kept scan, or else a
+    fresh build and its scan, which are not kept. Raises ``NotRich``. The
+    one place an index is built for a word and its richness checked."""
     memo = w._pal
-    return idx, _flex_scan(idx, w.chars) if memo is None else memo[1]
+    if memo is not None:
+        return memo[0].copy(), memo[1]
+    idx = PalIndex.of_word(w)
+    if not idx.rich:
+        raise NotRich(f"{w.chars!r} is not rich")
+    return idx, _flex_scan(idx, w.chars)
 
 
 def _keep(w: Word, idx: PalIndex, scan: dict) -> None:
     """Keep ``idx`` and its flex scan ``scan`` as the analysis of ``w``, the
     rich word ``idx`` indexes; nothing may move ``idx`` afterwards."""
     w._pal = (idx, scan)
-
-
-def _not_rich(w: Word) -> NotRich:
-    return NotRich(f"{w.chars!r} is not rich")
 
 
 def lps(w: Word) -> Word:
@@ -538,10 +536,4 @@ def require_rich(w: Word) -> PalIndex:
     The index is the caller's to edit: a copy of the one ``w`` keeps, or a
     fresh build, not kept, when it keeps none.
     """
-    memo = w._pal
-    if memo is not None:
-        return memo[0].copy()
-    idx = PalIndex.of_word(w)
-    if not idx.rich:
-        raise _not_rich(w)
-    return idx
+    return _owned(w)[0]

@@ -332,11 +332,7 @@ def parse_word_file(text: str) -> tuple[Alphabet, list[Word]]:
     return alphabet, [alphabet.word(line) for line in lines]
 
 
-def format_word_file(words: list[Word], declare: bool = True) -> str:
+def format_word_file(words: list[Word]) -> str:
     """Write words in the one-word-per-line text format, with a ``q=`` header."""
-    out = []
-    if declare:
-        q = max((w.alphabet.size for w in words), default=1)
-        out.append(f"q={q}")
-    out.extend(w.chars for w in words)
-    return "\n".join(out) + "\n"
+    q = max((w.alphabet.size for w in words), default=1)
+    return "\n".join([f"q={q}", *(w.chars for w in words)]) + "\n"

@@ -87,6 +87,13 @@ def test_digit_count_handles_values_str_would_reject():
     assert digit_count(7 * 10**9999) == 10000
 
 
+def test_digit_count_rejects_what_is_not_a_positive_integer():
+    # str() would count the sign and the point: 2 digits for -5, 3 for 1.5.
+    for n in (-5, 0, 1.5):
+        with pytest.raises(PreconditionViolation):
+            digit_count(n)
+
+
 def test_ensure_printable_lifts_the_str_guard():
     ensure_printable(10_001)
     assert len(str(7 * 10**9999)) == 10000

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 import oracles
 from richwords import (
@@ -22,7 +22,7 @@ from richwords import (
     shortest_marked_factor,
     word,
 )
-from richwords.eliminate import _is_window, _marked_span
+from richwords.eliminate import _marked_span
 from test_palindromes import refereed_moves
 
 W3 = "12145656547745656545656547874"
@@ -31,9 +31,9 @@ W4 = "12145656547874"
 
 @pytest.fixture(autouse=True)
 def _refereed():
-    # Every index move a test here makes is refereed. A fixture, not a line
-    # in each test: the derandomized property tests draw their examples from
-    # a digest of their source, which stays as it was.
+    # Every index move a test here makes is refereed, by a fixture rather
+    # than a line in each test. The property tests' examples are pinned by
+    # @seed, so they do not depend on the bodies' source.
     with refereed_moves():
         yield
 
@@ -172,6 +172,14 @@ def test_marked_span_matches_window_oracle_on_four_letter_markers():
     assert found > 80_000 and undefined > 60_000
 
 
+def _is_whole(s, p1, p2):
+    # The trim's test for a word that is its own marked window.
+    try:
+        return _marked_span(s, p1, p2) == (0, len(s))
+    except PreconditionViolation:
+        return False
+
+
 def test_whole_window_check_agrees_with_the_window_oracle():
     # A word is its own marked window exactly when the oracle's first window
     # is all of it; so is every window the oracle accepts (trimming it again
@@ -194,12 +202,11 @@ def test_whole_window_check_agrees_with_the_window_oracle():
                 whole = spans[:1] == [(0, len(s))]
                 for p1 in (c1, c1[::-1]):
                     for p2 in (c2, c2[::-1]):
-                        assert _is_window(s, p1, p2) == whole, (s, p1, p2)
+                        assert _is_whole(s, p1, p2) == whole, (s, p1, p2)
                 windows.update((s[i:j], c1, c2) for i, j in spans)
     for t, c1, c2 in windows:
         for p1 in (c1, c1[::-1]):
             for p2 in (c2, c2[::-1]):
-                assert _is_window(t, p1, p2), (t, p1, p2)
                 assert _marked_span(t, p1, p2) == (0, len(t)), (t, p1, p2)
     assert len(windows) > 2_000
 
@@ -399,6 +406,11 @@ def framed_rich_words(draw):
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
+)
+# The seed derandomize=True drew from this test's source before it was
+# pinned, so its 25 examples stay the same when its body is edited.
+@seed(
+    2281089473529466459422543837314565067093708269836551710834649228723789584799224310840797783662151581597189372876245
 )
 @given(framed_rich_words())
 def test_eliminate_long_random_words_against_oracles(case):
