@@ -2,12 +2,12 @@
 
 Every prefix of a rich word is rich, so the rich words over a fixed
 alphabet form a tree rooted at the empty word in which children append one
-letter. One walker, ``_walk``, streams this tree depth-first with an
-incrementally maintained palindrome index, backtracking in O(1) per edge.
-A node's children are its candidate letters, each tried by appending it to
-the index: a word stays rich exactly when the append creates a palindrome,
-and a letter whose append creates none is popped again. The walker keeps an
-explicit stack, so walks are as deep as memory allows.
+letter. One walker streams this tree depth-first: ``palindromes._walk``,
+which lives beside the palindrome index it edits in place. A word stays
+rich exactly when its next letter creates a palindrome, and the walker
+tests each candidate letter on the index before editing it; only a node
+with children is appended, and it is popped on backtrack. The walker keeps
+an explicit stack, so walks are as deep as memory allows.
 
 The common-superword search asks: is there a rich word containing two given
 rich words as factors? It walks the same tree with iterative deepening on
@@ -31,7 +31,7 @@ from enum import Enum
 from typing import Iterator
 
 from .errors import AlphabetMismatch, InternalInconsistency, NotRich, PreconditionViolation
-from .palindromes import PalIndex, _index, is_rich, pal_closure
+from .palindromes import PalIndex, _index, _walk, is_rich, pal_closure
 from .words import Alphabet, Word, _Record
 
 __all__ = [
@@ -57,13 +57,13 @@ class EnumConfig:
     canonical: bool = False
 
     def __post_init__(self):
-        if self.alphabet_size < 1:
+        if not isinstance(self.alphabet_size, int) or self.alphabet_size < 1:
             raise PreconditionViolation(
-                f"alphabet size must be positive, got {self.alphabet_size}"
+                f"alphabet size must be a positive integer, got {self.alphabet_size!r}"
             )
-        if self.max_length < 0:
+        if not isinstance(self.max_length, int) or self.max_length < 0:
             raise PreconditionViolation(
-                f"max length must be nonnegative, got {self.max_length}"
+                f"max length must be a nonnegative integer, got {self.max_length!r}"
             )
 
 
@@ -80,13 +80,15 @@ class SearchBudget(_Record):
     max_nodes: int = DEFAULT_MAX_NODES
 
     def __post_init__(self):
-        if self.max_length is not None and self.max_length < 0:
+        if self.max_length is not None and (
+            not isinstance(self.max_length, int) or self.max_length < 0
+        ):
             raise PreconditionViolation(
-                f"max length must be nonnegative, got {self.max_length}"
+                f"max length must be a nonnegative integer, got {self.max_length!r}"
             )
-        if self.max_nodes < 1:
+        if not isinstance(self.max_nodes, int) or self.max_nodes < 1:
             raise PreconditionViolation(
-                f"max nodes must be positive, got {self.max_nodes}"
+                f"max nodes must be a positive integer, got {self.max_nodes!r}"
             )
 
 
@@ -106,63 +108,6 @@ class SearchVerdict(_Record):
     witness: Word | None
     explored: int
     budget: SearchBudget
-
-
-# -- the tree walk --------------------------------------------------------
-
-
-def _walk(
-    idx: PalIndex, max_length: int, canonical: bool = False, std_first: bool = False
-) -> Iterator[str]:
-    """Preorder stream of the strict descendants, up to ``max_length``, of
-    the word held in ``idx``.
-
-    An explicit stack keeps one iterator over the node's candidate letters
-    per level, so depth is bounded by memory, not by the interpreter's
-    recursion limit. Candidates come in display order; with ``canonical`` a
-    letter may not skip an unused one, and with ``std_first`` the standard
-    letter leads. Each candidate is appended to ``idx``; one whose append
-    creates no palindrome leaves a word that is not rich, so it is popped
-    and skipped. ``idx`` is walked in place and is back at its starting word
-    once the stream is exhausted.
-    """
-    root = len(idx)
-    if root >= max_length:
-        return
-    letters = idx.alphabet.letters
-    used = [len(set(idx.chars))] if canonical else None
-
-    def children(k: int) -> Iterator[str]:
-        out = letters[: used[-1] + 1] if canonical else letters
-        if std_first and k:
-            # the standard letter occurs in the word, so it is a candidate
-            std = idx.std_letter(k)
-            out = std + out.replace(std, "")
-        return iter(out)
-
-    # one iterator per level, so idx holds root + len(stack) - 1 letters
-    stack = [children(root)]
-    while stack:
-        ch = next(stack[-1], "")
-        if not ch:
-            stack.pop()
-            if stack:
-                idx.pop()
-                if canonical:
-                    used.pop()
-            continue
-        if not idx.append(ch):
-            idx.pop()
-            continue
-        yield idx.chars
-        k = root + len(stack)
-        if k < max_length:
-            if canonical:
-                n = used[-1]
-                used.append(n + 1 if n < len(letters) and ch == letters[n] else n)
-            stack.append(children(k))
-        else:
-            idx.pop()
 
 
 # -- enumeration ---------------------------------------------------------

@@ -56,8 +56,10 @@ class Alphabet:
     __slots__ = ("size",)
 
     def __init__(self, size: int):
-        if not 1 <= size <= MAX_ALPHABET:
-            raise DomainError(f"alphabet size must be in 1..{MAX_ALPHABET}, got {size}")
+        if not isinstance(size, int) or not 1 <= size <= MAX_ALPHABET:
+            raise DomainError(
+                f"alphabet size must be an integer in 1..{MAX_ALPHABET}, got {size!r}"
+            )
         self.size = size
 
     @property

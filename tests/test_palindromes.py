@@ -37,7 +37,7 @@ from richwords import (
     std_ext,
     word,
 )
-from richwords.palindromes import _flex_scan, _move
+from richwords.palindromes import _flex_scan, _move, _walk
 
 W1 = "123999322399932442399932255223993"
 WF = "110101100110011"
@@ -358,6 +358,42 @@ def _index_state(idx):
         [idx.std_letter(k) for k in range(1, n + 1)],
         list(idx.iter_palindromes()),
     )
+
+
+def _oracle_preorder(root, q, max_length, canonical, std_first):
+    """The strict descendants of ``root`` up to ``max_length``, in the
+    walker's order, from the naive rich letters and standard letter."""
+    out = []
+    if len(root) >= max_length:
+        return out
+    letters = oracles.letters(q)
+    if canonical:
+        letters = letters[: len(set(root)) + 1]
+    if std_first and root:
+        std = oracles.std_letter(root)
+        letters = std + letters.replace(std, "")
+    rich = oracles.rich_letters(root, q)
+    for ch in letters:
+        if ch in rich:
+            out.append(root + ch)
+            out += _oracle_preorder(root + ch, q, max_length, canonical, std_first)
+    return out
+
+
+def test_walk_matches_oracle_preorder_from_every_rich_root():
+    # Nonempty roots, letters that fail, and leaves yielded without being
+    # appended, under every combination of options.
+    for q, top in ((2, 7), (3, 4)):
+        for root in oracles.rich_words(q, top):
+            first_seen = "".join(dict.fromkeys(root))
+            canonical_root = first_seen == oracles.letters(q)[: len(first_seen)]
+            for canonical in (False, True) if canonical_root else (False,):
+                for std_first in (False, True):
+                    idx = PalIndex.of_word(word(root, q))
+                    got = list(_walk(idx, len(root) + 3, canonical, std_first))
+                    want = _oracle_preorder(root, q, len(root) + 3, canonical, std_first)
+                    assert got == want, (root, canonical, std_first)
+                    assert _fields(idx) == _fields(PalIndex.of_word(word(root, q))), root
 
 
 def test_index_pop_restores_every_statistic():

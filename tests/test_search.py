@@ -128,6 +128,9 @@ def test_enum_config_validation():
         EnumConfig(2, -1)
     with pytest.raises(PreconditionViolation):
         list(enumerate_rich(EnumConfig(2, 2), workers=0))
+    for args in ((2, 2.5), (2.5, 3), (2, "3"), ("2", 3)):
+        with pytest.raises(PreconditionViolation):
+            EnumConfig(*args)
 
 
 # -- common-superword search ------------------------------------------------------
@@ -211,6 +214,9 @@ def test_search_input_validation(rich2):
         SearchBudget(-1, 10)
     with pytest.raises(PreconditionViolation):
         SearchBudget(4, 0)
+    for args in ((2.5, 10), (4, 2.5), ("4", 10), (4, "10")):
+        with pytest.raises(PreconditionViolation):
+            SearchBudget(*args)
 
 
 def test_search_budget_defaults_resolve_before_recording():

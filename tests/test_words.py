@@ -42,6 +42,9 @@ def test_alphabet_letters_and_bounds():
         Alphabet(0)
     with pytest.raises(DomainError):
         Alphabet(37)
+    for size in (2.5, 2.0, "2", None):
+        with pytest.raises(DomainError):
+            Alphabet(size)
 
 
 def test_word_validates_letters():
