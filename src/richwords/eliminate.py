@@ -156,9 +156,9 @@ def maximal_reducible(w: Word, floor: int) -> Word:
 
     Returns the empty word when no candidate qualifies.
     """
-    if floor < 1:
+    if not isinstance(floor, int) or floor < 1:
         raise PreconditionViolation(f"floor must be a positive integer, got {floor}")
-    pick = _pick_reducible(w, floor, *_analysis(w))
+    pick = _pick_reducible(w, floor, _analysis(w)[1])
     return w._wrap("") if pick is None else pick.target
 
 
@@ -224,7 +224,7 @@ def eliminate(w: Word, start: Word, end: Word) -> tuple[Word, EliminationTrace]:
             raise InternalInconsistency(
                 f"elimination state {res.chars!r} is not rich"
             )
-        pick = _pick_reducible(res, m, idx, scan)
+        pick = _pick_reducible(res, m, scan)
         if pick is None:
             break
         iterations += 1

@@ -47,8 +47,8 @@ def std_ext(w: Word, steps: int = 1) -> Word:
     ``steps=0`` returns ``w`` itself. Requires ``w`` rich and |w| >= 2.
     """
     idx = _require_extendable(w)
-    if steps < 0:
-        raise LengthViolation(f"step count must be >= 0, got {steps}")
+    if not isinstance(steps, int) or steps < 0:
+        raise LengthViolation(f"step count must be an integer >= 0, got {steps}")
     out = list(w.chars)
     try:
         for _ in range(steps):

@@ -21,8 +21,9 @@ one word to the next across their common prefix; ``copy`` gives a caller an
 index of its own to move.
 
 A rich word keeps its analysis (``Word._pal``): its index and its flex
-scan, built together on first use, so the calls after the first build
-neither. Only this module reads or writes that memo, and having it is the
+scan (``_FlexScan``), built on first use by one loop, ``extend``, which
+reads each flexed step off the suffix-link walk the step makes anyway; the
+calls after the first build neither. Only this module reads or writes that memo, and having it is the
 proof that the word is rich. The kept index is never edited:
 ``require_rich`` hands out a copy, a call that moves an index moves a copy,
 and a call that only appends for a look ahead undoes every append before it
@@ -148,9 +149,18 @@ class PalIndex:
         self._parent.append(parent)
         return parent >= 0
 
-    def extend(self, text: str) -> None:
+    def extend(self, text: str, scan: _FlexScan | None = None) -> None:
         """Append every letter of ``text``, leaving exactly the state that one
         ``append`` per letter leaves.
+
+        Given ``scan``, the flex scan of the word held so far, the same loop
+        extends it in place to the result's. A step is flexed exactly when
+        its first suffix-link walk stops short of the longest proper
+        palindromic suffix before it (never so for the first letter). That
+        walk leaves its start node only by hopping, and a palindromic prefix
+        always hops, so the scan and ``lpp`` work sits in the hop branch: a
+        build without a scan pays one assignment and one comparison a letter,
+        and one more comparison a hop.
 
         The loop repeats ``append``'s with the lists held in locals once per
         call. ``append`` keeps its own copy for callers that add one letter,
@@ -166,13 +176,28 @@ class PalIndex:
         # length -1 always matches (j = n), so the walks need no root test.
         s = "".join(chars) + text
         x = nodes[-1] if nodes else 1
+        if scan is not None:
+            lpp = scan.lpp
         for n in range(len(chars), len(s)):
             ch = s[n]
+            top = x
             while True:
                 j = n - lens[x] - 1
                 if j >= 0 and s[j] == ch:
                     break
                 x = slink[x]
+            if x != top and scan is not None:
+                # top becomes the longest proper palindromic suffix
+                plen = lens[top]
+                if plen == n:
+                    lpp = n
+                    top = slink[top]
+                    plen = lens[top]
+                if x != top:
+                    pal = s[n - lens[x] - 1 : n + 1]
+                    if pal not in scan:
+                        std = s[n - 1 - plen]
+                        scan[pal] = (n + 1, std + s[n - plen : n] + std)
             node = trans[x].get(ch)
             if node is None:
                 new_len = lens[x] + 2
@@ -197,6 +222,8 @@ class PalIndex:
             nodes.append(node)
             x = node
         chars.extend(text)
+        if scan is not None:
+            scan.lpp = len(s) if lens[x] == len(s) else lpp
 
     def pop(self) -> None:
         """Undo the most recent append."""
@@ -213,17 +240,16 @@ class PalIndex:
         """Undo appends down to the length-k prefix, 0 <= k <= len: the state
         that len - k pops leave, in one call."""
         chars = self._chars
-        if not 0 <= k <= len(chars):
+        if not (isinstance(k, int) and 0 <= k <= len(chars)):
             raise self._bad_prefix(k, 0)
         parents = self._parent
         trans = self._trans
-        made = 0
-        for i in range(k, len(chars)):
-            parent = parents[i]
-            if parent >= 0:
-                del trans[parent][chars[i]]
-                made += 1
-        cut = len(self._len) - made
+        cut_parents = parents[k:]
+        # the nodes made by the cut appends go whole, and their edges with them
+        cut = len(self._len) - len(cut_parents) + cut_parents.count(-1)
+        for parent, ch in zip(cut_parents, chars[k:]):
+            if 0 <= parent < cut:
+                del trans[parent][ch]
         del self._len[cut:], self._slink[cut:], trans[cut:]
         del chars[k:], self._lps_node[k:], parents[k:]
 
@@ -258,7 +284,7 @@ class PalIndex:
     def lps_length(self, k: int) -> int:
         """Length of the longest palindromic suffix of the length-k prefix,
         0 <= k <= len."""
-        if not 0 <= k <= len(self._chars):
+        if not (isinstance(k, int) and 0 <= k <= len(self._chars)):
             raise self._bad_prefix(k, 0)
         if k == 0:
             return 0
@@ -267,7 +293,7 @@ class PalIndex:
     def lps_is_new(self, k: int) -> bool:
         """Whether the lps of the length-k prefix occurs there for the first
         time, 1 <= k <= len."""
-        if not 0 < k <= len(self._chars):
+        if not (isinstance(k, int) and 0 < k <= len(self._chars)):
             raise self._bad_prefix(k, 1)
         return self._parent[k - 1] >= 0
 
@@ -276,7 +302,7 @@ class PalIndex:
 
         Defined here for every 1 <= k <= len, with value 0 for a single letter.
         """
-        if not 0 < k <= len(self._chars):
+        if not (isinstance(k, int) and 0 < k <= len(self._chars)):
             raise self._bad_prefix(k, 1)
         node = self._lps_node[k - 1]
         length = self._len[node]
@@ -300,7 +326,7 @@ class PalIndex:
         nodes = self._lps_node
         if k is None:
             k = len(nodes)
-        elif not 0 <= k <= len(nodes):
+        elif not (isinstance(k, int) and 0 <= k <= len(nodes)):
             raise self._bad_prefix(k, 0)
         lens = self._len
         for j in range(k, 0, -1):
@@ -449,7 +475,8 @@ class _FlexScan(dict):
     """A word's flex scan: flexed palindrome -> (first arising position,
     standard replacement), inserted in ascending first-arising position,
     and ``lpp``, the length of the word's longest palindromic prefix, which
-    reducibility condition 4 reads."""
+    reducibility condition 4 reads. ``PalIndex.extend`` builds it in the
+    eertree step; a new scan, the empty word's, has ``lpp`` 0."""
 
     __slots__ = ("lpp",)
 
@@ -467,50 +494,13 @@ def _cut(scan: dict, j: int) -> _FlexScan:
     return out
 
 
-def _flex_scan(
-    idx: PalIndex, s: str, out: _FlexScan | None = None, keep: int = 0
-) -> _FlexScan:
-    """The flex scan of ``s``, the word in ``idx``.
-
-    ``out`` is the scan of the length-``keep`` prefix of ``s``, its ``lpp``
-    set; it is extended in place and returned, and only the steps beyond
-    that prefix are scanned. By default the scan starts from the empty word.
-    The very first letter is never a flexed step; a one-letter prefix
-    extends standardly only by its own letter.
-    """
-    # The index's lists are read directly: calling lpps_length/lps_length
-    # per step cost 10-27 % of long-elimination throughput.
-    lens, slink, nodes = idx._len, idx._slink, idx._lps_node
-    if out is None:
-        out = _FlexScan()
-        lpp = 0
-    else:
-        lpp = out.lpp
-    n = len(s)
-    for k in range(max(2, keep + 1), n + 1):
-        u_node = nodes[k - 2]
-        plen = lens[u_node]
-        if plen == k - 1:
-            # the length-(k-1) prefix is a palindrome
-            lpp = plen
-            plen = lens[slink[u_node]]
-        std = s[k - 2 - plen]
-        if s[k - 1] != std:
-            pal = s[k - lens[nodes[k - 1]] : k]
-            if pal not in out:
-                out[pal] = (k, std + s[k - 1 - plen : k - 1] + std)
-    if n and lens[nodes[-1]] == n:
-        lpp = n
-    out.lpp = lpp
-    return out
-
-
 def _move(idx: PalIndex, scan: _FlexScan, s: str, chars: str) -> _FlexScan:
     """Turn ``idx``, the index of ``s`` with flex scan ``scan``, into the
     index of ``chars`` and return the scan of ``chars``; ``scan`` is unchanged.
 
     The eertree is online: truncating to the common prefix and extending by
-    the rest gives what a fresh build would, and only the rest is rescanned.
+    the rest gives what a fresh build would; that one ``extend`` also
+    scans the rest, onto the scan cut to the common prefix.
     """
     keep = common_prefix_len(s, chars)
     out = _cut(scan, keep)
@@ -524,8 +514,8 @@ def _move(idx: PalIndex, scan: _FlexScan, s: str, chars: str) -> _FlexScan:
         node = slink[node]
     out.lpp = lens[node]
     idx.truncate(keep)
-    idx.extend(chars[keep:])
-    return _flex_scan(idx, chars, out, keep)
+    idx.extend(chars[keep:], out)
+    return out
 
 
 def _analysis(w: Word) -> tuple[PalIndex, dict]:
@@ -541,15 +531,18 @@ def _analysis(w: Word) -> tuple[PalIndex, dict]:
 def _owned(w: Word) -> tuple[PalIndex, dict]:
     """An index of the rich word ``w`` for the caller to move, with ``w``'s
     flex scan: a copy of the index ``w`` keeps, with the kept scan, or else a
-    fresh build and its scan, which are not kept. Raises ``NotRich``. The
-    one place an index is built for a word and its richness checked."""
+    fresh build of both in one pass, which is not kept. Raises ``NotRich``.
+    The one place an index is built for a word and its richness checked."""
     memo = w._pal
     if memo is not None:
         return memo[0].copy(), memo[1]
-    idx = PalIndex.of_word(w)
+    idx = PalIndex(w.alphabet)
+    scan = _FlexScan()
+    scan.lpp = 0
+    idx.extend(w.chars, scan)
     if not idx.rich:
         raise NotRich(f"{w.chars!r} is not rich")
-    return idx, _flex_scan(idx, w.chars)
+    return idx, scan
 
 
 def _keep(w: Word, idx: PalIndex, scan: dict) -> None:

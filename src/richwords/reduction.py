@@ -157,20 +157,25 @@ def standard_replacement(w: Word, r: Word) -> Word:
     return w._wrap(hit[1])
 
 
-def _parse_triple(w: Word, r: Word, idx: PalIndex) -> ParseTriple:
+def _parse_triple(w: Word, r: Word, scan: _FlexScan) -> ParseTriple:
+    """The split of the rich word ``w`` (flex scan ``scan``) around ``r``.
+
+    Each prefix of a rich word has a longest palindromic suffix occurring
+    there first, so each flexed step is a first arising: the scan's
+    positions are exactly the flexed steps. The forced run stops one letter
+    before the first of them past the last occurrence of ``r``.
+    """
     s, t = w.chars, r.chars
     vlen = s.rfind(t) + len(t)
-    k = vlen
-    n = len(s)
-    while k < n and s[k] == idx.std_letter(k):
-        k += 1
+    k = next((pos for pos, _ in scan.values() if pos > vlen), len(s) + 1) - 1
     return ParseTriple(w[:vlen], w[vlen:k], w[k:])
 
 
 def _conditions(
-    w: Word, r: Word, idx: PalIndex, scan: _FlexScan
+    w: Word, r: Word, scan: _FlexScan, longest: int
 ) -> ReduciblePair | ReductionRejection:
-    """Conditions 2 through 4 for rich ``w`` and ``r``, given ``w``'s index and scan.
+    """Conditions 2 through 4 for rich ``w`` and ``r``, given ``w``'s flex
+    scan and the length of its longest flexed palindrome.
 
     Condition 5 (maximality) is recorded on the pair instead of rejecting:
     the rewrite construction needs only 1-4.
@@ -187,14 +192,12 @@ def _conditions(
         return ReductionRejection(
             4, "palindrome occurs in the longest palindromic prefix"
         )
-    maximal = len(r.chars) >= max(map(len, scan))
-    return ReduciblePair(w, r, _parse_triple(w, r, idx), maximal)
+    return ReduciblePair(w, r, _parse_triple(w, r, scan), len(r.chars) >= longest)
 
 
-def _pick_reducible(
-    w: Word, floor: int, idx: PalIndex, scan: dict
-) -> ReduciblePair | None:
-    """First reducible flexed palindrome longer than ``floor``, if any.
+def _pick_reducible(w: Word, floor: int, scan: _FlexScan) -> ReduciblePair | None:
+    """First reducible flexed palindrome longer than ``floor``, if any, given
+    the flex scan of ``w``.
 
     Only maximal-length flexed palindromes can pass the reducibility check;
     equal-length candidates are tried in lexicographic order.
@@ -203,7 +206,7 @@ def _pick_reducible(
     if longest <= floor:
         return None
     for chars in sorted(p for p in scan if len(p) == longest):
-        outcome = _conditions(w, w._wrap(chars), idx, scan)
+        outcome = _conditions(w, w._wrap(chars), scan, longest)
         if isinstance(outcome, ReduciblePair):
             return outcome
     return None
@@ -223,7 +226,7 @@ def _evaluate(w: Word, r: Word):
     # A target in the scan is a factor of the rich word, hence rich.
     if r.chars not in scan and not is_rich(r):
         return idx, scan, ReductionRejection(1, "palindrome is not rich")
-    return idx, scan, _conditions(w, r, idx, scan)
+    return idx, scan, _conditions(w, r, scan, max(map(len, scan), default=0))
 
 
 def _reducible(w: Word, r: Word) -> tuple[PalIndex, dict, ReduciblePair]:

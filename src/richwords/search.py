@@ -130,8 +130,10 @@ def enumerate_rich(config: EnumConfig, workers: int = 1) -> Iterator[Word]:
     order relative to each other. The pool never holds more processes than
     there are subtrees or cores, however large ``workers`` is.
     """
-    if workers < 1:
-        raise PreconditionViolation(f"workers must be positive, got {workers}")
+    if not isinstance(workers, int) or workers < 1:
+        raise PreconditionViolation(
+            f"workers must be a positive integer, got {workers}"
+        )
     alphabet = Alphabet(config.alphabet_size)
     base = alphabet.word("")
     yield base

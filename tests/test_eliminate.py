@@ -261,6 +261,9 @@ def test_maximal_reducible_floor_validation():
         maximal_reducible(word(W3), 0)
     with pytest.raises(PreconditionViolation):
         maximal_reducible(word("010", 2), -2)
+    for floor in (1.5, 2.0, "2", None):
+        with pytest.raises(PreconditionViolation, match="floor must be a positive integer"):
+            maximal_reducible(word(W3), floor)
 
 
 def test_maximal_reducible_returns_accepted_targets_only(rich2):
@@ -450,10 +453,10 @@ def test_framed_word_is_indexed_once_from_trim_to_elimination(monkeypatch):
     built = []
     extend = PalIndex.extend
 
-    def counted(self, text):
+    def counted(self, text, scan=None):
         if not len(self):
             built.append(len(text))
-        extend(self, text)
+        extend(self, text, scan)
 
     monkeypatch.setattr(PalIndex, "extend", counted)
     win = shortest_marked_factor(w, start, end)

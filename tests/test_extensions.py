@@ -37,6 +37,9 @@ def test_std_ext_errors():
         std_ext(word("0", 2))
     with pytest.raises(LengthViolation):
         std_ext(word("01", 2), -1)
+    for steps in (1.5, 2.0, "2", None):
+        with pytest.raises(LengthViolation, match="step count must be an integer"):
+            std_ext(word("01", 2), steps)
 
 
 def test_std_ext_matches_oracle_and_stays_rich(rich2):

@@ -37,7 +37,7 @@ from richwords import (
     std_ext,
     word,
 )
-from richwords.palindromes import _flex_scan, _move, _walk
+from richwords.palindromes import _FlexScan, _move, _owned, _walk
 
 W1 = "123999322399932442399932255223993"
 WF = "110101100110011"
@@ -301,6 +301,39 @@ def _appended(s, q):
     return idx
 
 
+def reference_scan(idx, s):
+    """The flex scan of ``s``, the word in ``idx``, compared letter by letter
+    with the standard one: the referee of the scan ``PalIndex.extend`` builds
+    inside the eertree step.
+
+    Step k is flexed when its letter is not the standard letter of the
+    length-(k-1) prefix, the letter before that prefix's longest proper
+    palindromic suffix; its palindrome is kept at its first arising. The
+    very first letter is never a flexed step. ``lpp`` is the length of the
+    longest palindromic prefix of ``s``.
+    """
+    lens, slink, nodes = idx._len, idx._slink, idx._lps_node
+    out = _FlexScan()
+    lpp = 0
+    n = len(s)
+    for k in range(2, n + 1):
+        u_node = nodes[k - 2]
+        plen = lens[u_node]
+        if plen == k - 1:
+            # the length-(k-1) prefix is a palindrome
+            lpp = plen
+            plen = lens[slink[u_node]]
+        std = s[k - 2 - plen]
+        if s[k - 1] != std:
+            pal = s[k - lens[nodes[k - 1]] : k]
+            if pal not in out:
+                out[pal] = (k, std + s[k - 1 - plen : k - 1] + std)
+    if n and lens[nodes[-1]] == n:
+        lpp = n
+    out.lpp = lpp
+    return out
+
+
 @contextlib.contextmanager
 def refereed_moves():
     """Referee every index move the pipeline makes (the rewrite of
@@ -317,7 +350,7 @@ def refereed_moves():
         fresh = PalIndex(idx.alphabet)
         for ch in chars:
             fresh.append(ch)
-        assert list(out.items()) == list(_flex_scan(fresh, chars).items()), (s, chars)
+        assert list(out.items()) == list(reference_scan(fresh, chars).items()), (s, chars)
         positions = [hit[0] for hit in out.values()]
         assert positions == sorted(set(positions)), (s, chars)
         assert out.lpp == fresh.lpp_length(), (s, chars)
@@ -347,6 +380,33 @@ def test_extend_and_truncate_match_append_and_pop_field_for_field():
                     assert _fields(idx) == whole, (s, k)
                     idx.truncate(k)
                     assert _fields(idx) == popped[n - k], (s, k)
+
+
+def test_builds_with_and_without_a_scan_leave_the_same_index():
+    # The flex scan rides in the eertree step of extend: a build that carries
+    # one leaves every index list as a build without, and the scan it leaves
+    # is the letter-by-letter reference, on every word, rich or not; the
+    # reference scan of every prefix, carried across the rest, ends the same.
+    for q, top in ((2, 12), (3, 8)):
+        alphabet = word("", q).alphabet
+        for n in range(top + 1):
+            for s in oracles.all_words(q, n):
+                plain = PalIndex(alphabet)
+                plain.extend(s)
+                want = reference_scan(plain, s)
+                for k in range(n + 1):
+                    idx = PalIndex(alphabet)
+                    idx.extend(s[:k])
+                    scan = reference_scan(idx, s[:k])
+                    idx.extend(s[k:], scan)
+                    assert _fields(idx) == _fields(plain), (s, k)
+                    assert list(scan.items()) == list(want.items()), (s, k)
+                    assert scan.lpp == want.lpp == plain.lpp_length(), (s, k)
+                if oracles.is_rich(s):
+                    owned, scan = _owned(word(s, q))
+                    assert _fields(owned) == _fields(plain), s
+                    assert list(scan.items()) == list(want.items()), s
+                    assert scan.lpp == want.lpp, s
 
 
 def _index_state(idx):
@@ -436,12 +496,12 @@ def test_prefix_queries_reject_out_of_range_lengths():
     idx = PalIndex.of_word(word("0110", 2))
     assert [idx.lps_length(k) for k in range(5)] == [0, 1, 1, 2, 4]
     for query, bad in (
-        (idx.lps_length, (-1, 5)),
-        (idx.lpp_length, (-1, 5)),
-        (idx.lps_is_new, (-1, 0, 5)),
-        (idx.lpps_length, (-1, 0, 5)),
-        (idx.std_letter, (-1, 0, 5)),
-        (idx.truncate, (-1, 5)),
+        (idx.lps_length, (-1, 5, 1.5, 2.0)),
+        (idx.lpp_length, (-1, 5, 1.5, 2.0)),
+        (idx.lps_is_new, (-1, 0, 5, 1.5, 2.0)),
+        (idx.lpps_length, (-1, 0, 5, 1.5, 2.0)),
+        (idx.std_letter, (-1, 0, 5, 1.5, 2.0)),
+        (idx.truncate, (-1, 5, 1.5, 2.0)),
     ):
         for k in bad:
             with pytest.raises(LengthViolation, match=rf"in \d\.\.4, got {k}$"):
@@ -543,7 +603,7 @@ def test_library_marks_the_words_it_proves_rich():
         idx, scan = kept._pal
         fresh = PalIndex.of_word(word(kept.chars, kept.alphabet.size))
         assert _fields(idx) == _fields(fresh)
-        assert list(scan.items()) == list(_flex_scan(fresh, kept.chars).items())
+        assert list(scan.items()) == list(reference_scan(fresh, kept.chars).items())
 
 
 def test_proved_slot_is_invisible_to_equality_hash_and_repr():

@@ -37,8 +37,9 @@ from richwords import (
     std_ext,
     word,
 )
-from richwords.palindromes import _flex_scan, _move
-from test_palindromes import _fields, refereed_moves
+from richwords.palindromes import _analysis, _move
+from richwords.reduction import _parse_triple
+from test_palindromes import _fields, reference_scan, refereed_moves
 
 W1 = "123999322399932442399932255223993"
 W2 = "123999599932239949"
@@ -148,7 +149,7 @@ def test_prefix_scan_and_popped_index_match_a_fresh_prefix():
         for n in range(max_len + 1):
             for s in oracles.all_words(q, n):
                 whole = PalIndex.of_word(word(s, q))
-                scan = _flex_scan(whole, s)
+                scan = reference_scan(whole, s)
                 before = list(scan.items())
                 fresh[s] = _index_view(whole, scan)
                 for k in range(n - 1, -1, -1):
@@ -161,11 +162,11 @@ def test_prefix_scan_and_popped_index_match_a_fresh_prefix():
         fresh = {}
         for s in words:
             idx = PalIndex.of_word(word(s, q))
-            fresh[s] = _index_view(idx, _flex_scan(idx, s))
+            fresh[s] = _index_view(idx, reference_scan(idx, s))
         # Moving to b and back covers the ordered pairs (a, b) and (b, a).
         for i, a in enumerate(words):
             idx = PalIndex.of_word(word(a, q))
-            scan = _flex_scan(idx, a)
+            scan = reference_scan(idx, a)
             for b in words[i:]:
                 moved = _move(idx, scan, a, b)
                 assert _index_view(idx, moved) == fresh[b], (a, b)
@@ -184,12 +185,48 @@ def test_prefix_scan_and_popped_index_match_a_fresh_prefix():
             grow.pop()
         b = _random_rich(grow, rng.randint(keep, 600), rng)
         idx = PalIndex.of_word(word(a, q))
-        scan = _flex_scan(idx, a)
+        scan = reference_scan(idx, a)
         before = list(scan.items())
         moved = _move(idx, scan, a, b)
         new = PalIndex.of_word(word(b, q))
-        assert _index_view(idx, moved) == _index_view(new, _flex_scan(new, b)), (a, b)
+        assert _index_view(idx, moved) == _index_view(new, reference_scan(new, b)), (a, b)
         assert list(scan.items()) == before, (a, b)
+
+
+def _forced_runs_checked(s, q, targets):
+    """Check ``_parse_triple``'s split of the rich word ``s`` around each
+    target of length >= 3 against the walk that compares each letter after
+    the target's last occurrence with the standard one; returns the forced
+    runs, one per target checked."""
+    w = word(s, q)
+    scan = _analysis(w)[1]
+    idx = PalIndex.of_word(word(s, q))
+    runs = []
+    for t in targets:
+        if len(t) < 3:
+            continue
+        vlen = s.rfind(t) + len(t)
+        k = vlen
+        while k < len(s) and s[k] == idx.std_letter(k):
+            k += 1
+        got = _parse_triple(w, word(t, q), scan)
+        assert got.span.chars + got.forced.chars + got.tail.chars == s, (s, t)
+        assert (got.span.chars, got.forced.chars) == (s[:vlen], s[vlen:k]), (s, t)
+        runs.append(got.forced.chars)
+    return runs
+
+
+def test_forced_run_read_off_the_scan_matches_the_standard_walk():
+    # The forced run ends one letter before the first flexed step past the
+    # target's last occurrence, read off the scan: in a rich word every
+    # flexed step is a first arising, so the scan lists them all. Every
+    # flexed target, maximal or not, of every small rich word.
+    runs = []
+    for q, top in ((2, 14), (3, 9)):
+        for s in oracles.rich_words(q, top):
+            runs += _forced_runs_checked(s, q, _analysis(word(s, q))[1])
+    assert len(runs) > 20_000
+    assert sum(map(bool, runs)) > 5_000
 
 
 def test_pipeline_moves_go_through_the_referee():
@@ -485,6 +522,8 @@ def test_rewrite_guarantees_hold_on_long_random_words(case):
     # refereed by the oracle alone.
     s, q = case
     flex = oracles.flexed(s)
+    # the forced run of every flexed target, maximal or not
+    _forced_runs_checked(s, q, flex)
     for r in flex:
         w, target = word(s, q), word(r, q)
         if not isinstance(check_reducible(w, target), ReduciblePair):
@@ -620,7 +659,7 @@ def test_analysed_words_answer_as_fresh_ones():
         for s in oracles.rich_words(q, top):
             calls = [(call, _answer(call, word(s, q))) for call in _pipeline_calls(s, q)]
             fresh = PalIndex.of_word(word(s, q))
-            whole = _fields(fresh), list(_flex_scan(fresh, s).items())
+            whole = _fields(fresh), list(reference_scan(fresh, s).items())
             for order in (calls, calls[::-1]):
                 w = word(s, q)
                 for call, want in order:

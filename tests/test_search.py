@@ -121,6 +121,18 @@ def test_pool_holds_at_most_one_process_per_subtree_and_core(
     assert words == sorted(w.chars for w in enumerate_rich(config))
 
 
+def test_non_integer_workers_are_refused_before_any_pool(monkeypatch):
+    # A float once reached the pool and failed there with a TypeError; it is
+    # refused before the stream yields its first word.
+    started = []
+    monkeypatch.setattr(multiprocessing, "Pool", lambda *a, **k: started.append(a))
+    for workers in (1.5, 2.0, "2", None):
+        stream = enumerate_rich(EnumConfig(2, 5), workers=workers)
+        with pytest.raises(PreconditionViolation, match="workers must be"):
+            next(stream)
+    assert started == []
+
+
 def test_enum_config_validation():
     with pytest.raises(PreconditionViolation):
         EnumConfig(0, 5)
