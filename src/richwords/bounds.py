@@ -51,14 +51,28 @@ def digit_count(n: int) -> int:
     digits by default) cannot reject values that are merely large.
     """
     _require_positive(n, "n")
+    return _digits(n)[0]
+
+
+def _digits(n: int) -> tuple[int, int]:
+    """The digit count d of the positive integer ``n``, and 10**(d-1).
+
+    One large power, from the estimate d ~ bits * log10(2), then steps of
+    x10 or //10 to correct it; a number between n/10 and n reads its own
+    count off the returned power.
+    """
     if n < 10**15:
-        return len(str(n))
+        d = len(str(n))
+        return d, 10 ** (d - 1)
     d = int(n.bit_length() * 0.30102999566398114)
-    while 10**d <= n:
-        d += 1
-    while d > 1 and 10 ** (d - 1) > n:
+    low = 10 ** (d - 1)
+    while low > n:
+        low //= 10
         d -= 1
-    return d
+    while low * 10 <= n:
+        low *= 10
+        d += 1
+    return d, low
 
 
 def ensure_printable(digits: int) -> None:
@@ -161,8 +175,7 @@ def superword_length_bound(
     )
     log10_total = _log10_pow2(k + 2, m)
 
-    def materialize(value: int, label: str) -> int | None:
-        digits = digit_count(value)
+    def materialize(value: int, digits: int, label: str) -> int | None:
         if digits <= digit_cap:
             return value
         if require_exact:
@@ -171,12 +184,16 @@ def superword_length_bound(
             )
         return None
 
-    k_exact = materialize(k, "flex bound")
+    k_exact = materialize(k, digit_count(k), "flex bound")
     # Predict the length bound's digit count before shifting 2^(k+2): the
     # shift itself is infeasible whenever the result would not fit the cap.
     if log10_total < digit_cap + 2:
-        length_exact = materialize(m << (k + 2), "length bound")
-        growth_exact = materialize(m << (k + 1), "growth bound")
+        length = m << (k + 2)
+        digits, low = _digits(length)
+        length_exact = materialize(length, digits, "length bound")
+        # the growth bound is half the length bound: as long, or a digit shorter
+        growth = length >> 1
+        growth_exact = materialize(growth, digits - (growth < low), "growth bound")
     elif require_exact:
         raise ResourceLimit(
             f"exact length bound needs about {log10_total:.6g} digits, "

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import EmptyPattern, LengthViolation, NotAFactor, NotRich
-from .words import Alphabet, Word, common_prefix_len, occ_starts
+from .errors import DomainError, EmptyPattern, LengthViolation, NotAFactor, NotRich
+from .words import Alphabet, Word, _not_in, common_prefix_len, occ_starts
 
 __all__ = [
     "PalIndex",
@@ -66,7 +66,9 @@ class PalIndex:
 
     Edits: ``append``/``pop`` add or undo one letter; ``extend`` appends a
     string and ``truncate`` cuts back to a prefix, each in one call and to the
-    state the single-letter edits would leave.
+    state the single-letter edits would leave. Each checks its input before
+    it edits: a letter outside the alphabet raises ``DomainError``, a cut
+    past either end ``LengthViolation``.
     """
 
     __slots__ = (
@@ -107,6 +109,10 @@ class PalIndex:
 
     def append(self, ch: str) -> bool:
         """Push one letter; returns True when a new palindrome appeared."""
+        if len(ch) != 1:
+            raise DomainError(f"append takes exactly one letter, got {ch!r}")
+        if ch.lstrip(self.alphabet.letters):
+            raise _not_in(ch, self.alphabet)
         chars = self._chars
         lens = self._len
         slink = self._slink
@@ -166,6 +172,9 @@ class PalIndex:
         call. ``append`` keeps its own copy for callers that add one letter,
         such as ``rich_letters``; the tree walker ``_walk`` inlines the step.
         """
+        rest = text.lstrip(self.alphabet.letters)
+        if rest:
+            raise _not_in(rest[0], self.alphabet)
         lens = self._len
         slink = self._slink
         trans = self._trans
@@ -227,6 +236,8 @@ class PalIndex:
 
     def pop(self) -> None:
         """Undo the most recent append."""
+        if not self._chars:
+            raise LengthViolation("pop needs length >= 1")
         ch = self._chars.pop()
         self._lps_node.pop()
         parent = self._parent.pop()
@@ -266,6 +277,15 @@ class PalIndex:
     def distinct_palindromes(self) -> int:
         """Distinct nonempty palindromic factors of the current word."""
         return len(self._len) - 2
+
+    def length_profile(self) -> dict[int, int]:
+        """How many distinct nonempty palindromic factors of each length the
+        current word has, by ascending length: every node past the two roots
+        is one of them."""
+        counts: dict[int, int] = {}
+        for n in self._len[2:]:
+            counts[n] = counts.get(n, 0) + 1
+        return dict(sorted(counts.items()))
 
     @property
     def rich(self) -> bool:

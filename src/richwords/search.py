@@ -287,6 +287,9 @@ def find_common_superword(
         q = w1.alphabet.size
         counts = _ROUND_COUNTS.get(q) or _ROUND_COUNTS.setdefault(q, _RoundCounts(q))
         explored = counts.total(first, last, budget.max_nodes)
+    if explored >= budget.max_nodes:
+        # the counted rounds spent the budget: no walker is built
+        return SearchVerdict(SearchStatus.EXHAUSTED, None, explored, budget)
     for limit in range(max(first, short), budget.max_length + 1):
         for chars in _walk(PalIndex(w1.alphabet), limit, std_first=True):
             if explored >= budget.max_nodes:
@@ -301,7 +304,4 @@ def find_common_superword(
 def pal_complexity_profile(w: Word) -> dict[int, int]:
     """How many distinct palindromic factors of each positive length ``w``
     has. The empty word maps to an empty profile."""
-    profile: dict[int, int] = {}
-    for pal in _index(w).iter_palindromes():
-        profile[len(pal)] = profile.get(len(pal), 0) + 1
-    return dict(sorted(profile.items()))
+    return _index(w).length_profile()

@@ -51,34 +51,55 @@ _SYMBOL_OF = {ch: i for i, ch in enumerate(DISPLAY)}
 
 
 class Alphabet:
-    """An ordered alphabet of ``size`` symbols, displayed per ``DISPLAY``."""
+    """An ordered alphabet of ``size`` symbols, displayed per ``DISPLAY``.
 
-    __slots__ = ("size",)
+    A value: there is one instance per size, built when the module loads, and
+    ``Alphabet(size)`` returns it. Its attributes cannot be assigned, and
+    copies and pickles give back the shared instance, so alphabets compare
+    by identity.
+    """
 
-    def __init__(self, size: int):
-        if not isinstance(size, int) or not 1 <= size <= MAX_ALPHABET:
+    __slots__ = ("size", "letters")
+
+    def __new__(cls, size: int) -> "Alphabet":
+        alphabet = _ALPHABETS.get(size) if isinstance(size, int) else None
+        if alphabet is None:
             raise DomainError(
                 f"alphabet size must be an integer in 1..{MAX_ALPHABET}, got {size!r}"
             )
-        self.size = size
+        return alphabet
 
-    @property
-    def letters(self) -> str:
-        """The display characters of this alphabet, in symbol order."""
-        return DISPLAY[: self.size]
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self!r} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self!r} is immutable")
+
+    def __reduce__(self):
+        # copies and pickles rebuild through the table: the shared instance
+        return Alphabet, (self.size,)
 
     def word(self, text: str) -> "Word":
         """Build a word from its display string, validating every letter."""
         return Word(text, self)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Alphabet) and other.size == self.size
-
-    def __hash__(self) -> int:
-        return hash(("Alphabet", self.size))
-
     def __repr__(self) -> str:
         return f"Alphabet({self.size})"
+
+
+def _make_alphabet(size: int) -> Alphabet:
+    alphabet = object.__new__(Alphabet)
+    object.__setattr__(alphabet, "size", size)
+    # ``letters`` is stored, not sliced from DISPLAY on each read
+    object.__setattr__(alphabet, "letters", DISPLAY[:size])
+    return alphabet
+
+
+_ALPHABETS = {size: _make_alphabet(size) for size in range(1, MAX_ALPHABET + 1)}
+
+
+def _not_in(letter: str, alphabet: Alphabet) -> DomainError:
+    return DomainError(f"letter {letter!r} is not in the {alphabet.size}-letter alphabet")
 
 
 class Word:
@@ -104,9 +125,7 @@ class Word:
     def __init__(self, chars: str, alphabet: Alphabet):
         rest = chars.lstrip(alphabet.letters)
         if rest:
-            raise DomainError(
-                f"letter {rest[0]!r} is not in the {alphabet.size}-letter alphabet"
-            )
+            raise _not_in(rest[0], alphabet)
         self.chars = chars
         self.alphabet = alphabet
         self._pal = None
@@ -186,7 +205,10 @@ def word(text: str, q: int | None = None) -> Word:
     """Convenience constructor; infers q = (max symbol index) + 1 when omitted."""
     if q is None:
         q = infer_alphabet_size(text)
-    return Alphabet(q).word(text)
+    # the table read skips the constructor; a size it lacks goes there to be
+    # accepted (a bool) or rejected
+    alphabet = _ALPHABETS.get(q) if type(q) is int else None
+    return Word(text, alphabet or Alphabet(q))
 
 
 def infer_alphabet_size(*texts: str) -> int:
@@ -330,8 +352,8 @@ def parse_word_file(text: str) -> tuple[Alphabet, list[Word]]:
             raise PreconditionViolation(f"bad alphabet header {lines[0]!r}") from None
         lines = lines[1:]
     q = declared if declared is not None else infer_alphabet_size(*lines)
-    alphabet = Alphabet(q)
-    return alphabet, [alphabet.word(line) for line in lines]
+    alphabet = _ALPHABETS.get(q) or Alphabet(q)
+    return alphabet, [Word(line, alphabet) for line in lines]
 
 
 def format_word_file(words: list[Word]) -> str:

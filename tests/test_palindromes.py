@@ -4,12 +4,14 @@ import contextlib
 import copy
 import pickle
 import random
+import re
 import sys
 
 import pytest
 
 import oracles
 from richwords import (
+    DomainError,
     EmptyPattern,
     LengthViolation,
     NotAFactor,
@@ -575,6 +577,27 @@ def test_caller_edits_to_required_index_change_no_later_answer():
     assert flexed_palindromes(w) == recs
     assert check_reducible(w, target) == verdict
     assert require_rich(w).chars == WF
+
+
+def test_index_edits_reject_bad_input_and_leave_the_index_unchanged():
+    for s in ("", "0110"):
+        idx = PalIndex.of_word(word(s, 2))
+        before = _fields(idx)
+        bad = [
+            (lambda: idx.append("z"), "letter 'z' is not in the 2-letter alphabet"),
+            (lambda: idx.append("2"), "letter '2' is not in the 2-letter alphabet"),
+            (lambda: idx.append("01"), "append takes exactly one letter, got '01'"),
+            (lambda: idx.append(""), "append takes exactly one letter, got ''"),
+            (lambda: idx.extend("0x1"), "letter 'x' is not in the 2-letter alphabet"),
+        ]
+        for edit, message in bad:
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                edit()
+            assert _fields(idx) == before, (s, message)
+    empty = PalIndex.of_word(word("", 2))
+    with pytest.raises(LengthViolation, match="pop needs length >= 1"):
+        empty.pop()
+    assert _fields(empty) == _fields(PalIndex.of_word(word("", 2)))
 
 
 def test_index_copy_is_independent_of_its_source():

@@ -345,6 +345,20 @@ def test_capped_fill_walks_at_most_cap_nodes(monkeypatch):
         assert walked == [], cap  # answered from the table alone
 
 
+def test_budget_spent_by_counted_rounds_builds_no_walker(monkeypatch):
+    w1, w2 = word("202010000", 3), word("2010201101", 3)
+    budget = SearchBudget(19, 20_000)
+    want = find_common_superword(w1, w2, budget)  # fills the ternary table
+    assert _outcome(want) == (SearchStatus.EXHAUSTED, None, 20_000)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a walker was built")
+
+    monkeypatch.setattr(search, "_walk", refuse)
+    monkeypatch.setattr(search, "PalIndex", refuse)
+    assert find_common_superword(w1, w2, budget) == want
+
+
 # -- depth beyond the interpreter's recursion limit ---------------------------------
 
 

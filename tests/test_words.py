@@ -1,5 +1,8 @@
 """Word and alphabet primitives against the naive string oracle."""
 
+import copy
+import pickle
+
 import pytest
 
 import oracles
@@ -38,13 +41,47 @@ def test_alphabet_letters_and_bounds():
     assert Alphabet(2).letters == "01"
     assert Alphabet(10).letters == "0123456789"
     assert Alphabet(36).letters.endswith("xyz")
-    with pytest.raises(DomainError):
-        Alphabet(0)
-    with pytest.raises(DomainError):
-        Alphabet(37)
-    for size in (2.5, 2.0, "2", None):
-        with pytest.raises(DomainError):
+    for size in (0, 37, 2.5, 2.0, "2", None, [2], False):
+        message = f"alphabet size must be an integer in 1..36, got {size!r}"
+        with pytest.raises(DomainError) as raised:
             Alphabet(size)
+        assert str(raised.value) == message
+        if size is not None:  # word() infers the size from None
+            with pytest.raises(DomainError) as raised:
+                word("0", size)
+            assert str(raised.value) == message
+    # a bool is an int: True is the size 1
+    assert Alphabet(True) is Alphabet(1) and word("0", True).alphabet is Alphabet(1)
+
+
+def test_alphabet_is_one_shared_value_per_size():
+    for q in range(1, 37):
+        alphabet = Alphabet(q)
+        assert alphabet is Alphabet(q) and alphabet.size == q
+        assert word("0", q).alphabet is alphabet and alphabet.word("").alphabet is alphabet
+    assert word("0110").alphabet is Alphabet(2)
+    assert parse_word_file("q=3\n012\n")[0] is Alphabet(3)
+    assert parse_word_file("0110\n")[1][0].alphabet is Alphabet(2)
+
+
+def test_alphabet_attributes_cannot_be_assigned():
+    alphabet = Alphabet(2)
+    for name, value in (("size", 3), ("letters", "012"), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(alphabet, name, value)
+    for name in ("size", "letters"):
+        with pytest.raises(AttributeError):
+            delattr(alphabet, name)
+    assert (alphabet.size, alphabet.letters) == (2, "01")
+
+
+def test_copies_and_pickles_give_back_the_shared_alphabet():
+    alphabet = Alphabet(3)
+    w = word("0120", 3)
+    clones = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
+    for clone in clones:
+        assert clone(alphabet) is alphabet
+        assert clone(w) == w and clone(w).alphabet is alphabet
 
 
 def test_word_validates_letters():
