@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import PreconditionViolation, ResourceLimit
+from .errors import ResourceLimit, _require_int
 from .words import _Record
 
 __all__ = [
@@ -34,11 +34,6 @@ __all__ = [
 DEFAULT_DIGIT_CAP = 100_000
 
 
-def _require_positive(value: int, label: str) -> None:
-    if not isinstance(value, int) or value < 1:
-        raise PreconditionViolation(f"{label} must be a positive integer, got {value!r}")
-
-
 def _ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
@@ -50,7 +45,7 @@ def digit_count(n: int) -> int:
     Avoids str() so the interpreter's integer-to-string size guard (4300
     digits by default) cannot reject values that are merely large.
     """
-    _require_positive(n, "n")
+    _require_int(n, "n")
     return _digits(n)[0]
 
 
@@ -61,10 +56,7 @@ def _digits(n: int) -> tuple[int, int]:
     x10 or //10 to correct it; a number between n/10 and n reads its own
     count off the returned power.
     """
-    if n < 10**15:
-        d = len(str(n))
-        return d, 10 ** (d - 1)
-    d = int(n.bit_length() * 0.30102999566398114)
+    d = max(1, int(n.bit_length() * 0.30102999566398114))
     low = 10 ** (d - 1)
     while low > n:
         low //= 10
@@ -81,6 +73,7 @@ def ensure_printable(digits: int) -> None:
     Formatting entry points call this before rendering exact bound values,
     which can run to tens of thousands of digits while staying legitimate.
     """
+    _require_int(digits, "digits", lo=0)
     get = getattr(sys, "get_int_max_str_digits", None)
     if get is None:
         return
@@ -96,8 +89,8 @@ def pal_complexity_bound(length: int, alphabet_size: int) -> int:
 
     Exact integer; exponent rounded up to ceil(log2 length).
     """
-    _require_positive(length, "length")
-    _require_positive(alphabet_size, "alphabet size")
+    _require_int(length, "length")
+    _require_int(alphabet_size, "alphabet size")
     q = alphabet_size
     return (q + 1) * length * (4 * q**10 * length) ** _ceil_log2(length)
 
@@ -110,8 +103,8 @@ def flex_count_bound(marker_length: int, alphabet_size: int) -> int:
     ``marker_length``, which dominates that bound's sum over lengths
     1..marker_length.
     """
-    _require_positive(marker_length, "marker length")
-    _require_positive(alphabet_size, "alphabet size")
+    _require_int(marker_length, "marker length")
+    _require_int(alphabet_size, "alphabet size")
     return marker_length * pal_complexity_bound(marker_length, alphabet_size)
 
 
@@ -161,10 +154,9 @@ def superword_length_bound(
     returning None fields when an exact integer would exceed ``digit_cap``
     decimal digits.
     """
-    _require_positive(marker_length, "marker length")
-    _require_positive(alphabet_size, "alphabet size")
-    if digit_cap < 1:
-        raise PreconditionViolation(f"digit cap must be positive, got {digit_cap}")
+    _require_int(marker_length, "marker length")
+    _require_int(alphabet_size, "alphabet size")
+    _require_int(digit_cap, "digit cap")
     m, q = marker_length, alphabet_size
 
     k = flex_count_bound(m, q)

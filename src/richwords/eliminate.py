@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInconsistency, NotRich, PreconditionViolation
+from .errors import InternalInconsistency, NotRich, PreconditionViolation, _require_int
 from .palindromes import PalIndex, _analysis, _keep, _move, _owned
 from .reduction import ReductionTrace, _pick_reducible, _rewrite
 from .words import Word, _Record, occ_str
@@ -156,8 +156,7 @@ def maximal_reducible(w: Word, floor: int) -> Word:
 
     Returns the empty word when no candidate qualifies.
     """
-    if not isinstance(floor, int) or floor < 1:
-        raise PreconditionViolation(f"floor must be a positive integer, got {floor}")
+    _require_int(floor, "floor")
     pick = _pick_reducible(w, floor, _analysis(w)[1])
     return w._wrap("") if pick is None else pick.target
 

@@ -3,6 +3,9 @@
 ``DomainError`` subclasses signal bad input (the CLI maps them to exit code 1).
 ``InternalInconsistency`` signals a broken internal invariant and is never
 expected on valid input; ``ResourceLimit`` signals a blown resource cap.
+``_require_int`` is the one check of a count argument (a length, a size, a
+budget, a worker count): an ``int`` at least its lowest value, a bool
+counting as its integer.
 """
 
 from __future__ import annotations
@@ -69,6 +72,14 @@ class NotReducible(DomainError):
 
 class PreconditionViolation(DomainError):
     """A documented operation precondition does not hold."""
+
+
+def _require_int(value, label: str, lo: int = 1, error=PreconditionViolation) -> None:
+    """Raise ``error`` naming ``label`` unless ``value`` is an ``int`` >= ``lo``
+    (0 or 1)."""
+    if not isinstance(value, int) or value < lo:
+        bound = "a positive integer" if lo == 1 else f"an integer >= {lo}"
+        raise error(f"{label} must be {bound}, got {value!r}")
 
 
 class InternalInconsistency(RuntimeError):

@@ -9,7 +9,7 @@ reaches the palindromic closure of w.
 
 from __future__ import annotations
 
-from .errors import LengthViolation, NotAPrefix
+from .errors import LengthViolation, NotAPrefix, _require_int
 from .palindromes import PalIndex, _analysis
 from .words import Word
 
@@ -47,8 +47,7 @@ def std_ext(w: Word, steps: int = 1) -> Word:
     ``steps=0`` returns ``w`` itself. Requires ``w`` rich and |w| >= 2.
     """
     idx = _require_extendable(w)
-    if not isinstance(steps, int) or steps < 0:
-        raise LengthViolation(f"step count must be an integer >= 0, got {steps}")
+    _require_int(steps, "step count", lo=0, error=LengthViolation)
     out = list(w.chars)
     try:
         for _ in range(steps):

@@ -27,7 +27,9 @@ from .errors import (
     InternalInconsistency,
     NotAFlexedPalindrome,
 )
-from .palindromes import PalIndex, _FlexScan, _analysis, _cut, _keep, _move, is_rich
+from .palindromes import (
+    PalIndex, _FlexScan, _analysis, _cut, _keep, _move, _owned, is_rich,
+)
 from .words import Word, _Record, common_prefix_len, occ_starts, occ_str
 
 __all__ = [
@@ -212,29 +214,24 @@ def _pick_reducible(w: Word, floor: int, scan: _FlexScan) -> ReduciblePair | Non
     return None
 
 
-def _evaluate(w: Word, r: Word):
-    """Run the reducibility conditions 1-4 in order, recording condition 5.
-
-    Returns (index of w, flex scan, ReduciblePair or ReductionRejection),
-    the index and scan those ``w`` keeps: a caller that moves the index
-    moves a copy.
-    """
+def _evaluate(w: Word, r: Word) -> ReduciblePair | ReductionRejection:
+    """Run the reducibility conditions 1-4 in order, recording condition 5."""
     try:
-        idx, scan = _analysis(w)
+        scan = _analysis(w)[1]
     except NotRich:
-        return None, None, ReductionRejection(1, "word is not rich")
+        return ReductionRejection(1, "word is not rich")
     # A target in the scan is a factor of the rich word, hence rich.
     if r.chars not in scan and not is_rich(r):
-        return idx, scan, ReductionRejection(1, "palindrome is not rich")
-    return idx, scan, _conditions(w, r, scan, max(map(len, scan), default=0))
+        return ReductionRejection(1, "palindrome is not rich")
+    return _conditions(w, r, scan, max(map(len, scan), default=0))
 
 
-def _reducible(w: Word, r: Word) -> tuple[PalIndex, dict, ReduciblePair]:
+def _reducible(w: Word, r: Word) -> ReduciblePair:
     """``_evaluate``, raising ``NotReducible`` when one of conditions 1-4 fails."""
-    idx, scan, outcome = _evaluate(w, r)
+    outcome = _evaluate(w, r)
     if isinstance(outcome, ReductionRejection):
         raise NotReducible(outcome)
-    return idx, scan, outcome
+    return outcome
 
 
 def check_reducible(w: Word, r: Word) -> ReduciblePair | ReductionRejection:
@@ -245,10 +242,11 @@ def check_reducible(w: Word, r: Word) -> ReduciblePair | ReductionRejection:
     no flexed palindrome of w longer than r. Returns a structured rejection
     naming the first failure instead of raising.
     """
-    _, scan, outcome = _evaluate(w, r)
+    outcome = _evaluate(w, r)
     if isinstance(outcome, ReduciblePair) and not outcome.maximal:
+        longest = max(map(len, _analysis(w)[1]))
         return ReductionRejection(
-            5, f"a longer flexed palindrome exists (length {max(map(len, scan))})"
+            5, f"a longer flexed palindrome exists (length {longest})"
         )
     return outcome
 
@@ -259,7 +257,7 @@ def parse(w: Word, r: Word) -> ParseTriple:
     Needs conditions 1-4; the maximality condition 5 is not required for the
     split to be well defined (``check_reducible`` reports it).
     """
-    return _reducible(w, r)[2].parse
+    return _reducible(w, r).parse
 
 
 def _reduce(
@@ -383,8 +381,9 @@ def reduced_prefix(w: Word, r: Word) -> ReductionTrace:
     since the construction itself only depends on 1-4. The trace's
     ``result`` field already includes the tail.
     """
-    idx, scan, pair = _reducible(w, r)
-    return _reduce(idx.copy(), scan, pair)[0]
+    pair = _reducible(w, r)
+    idx, scan = _owned(w)
+    return _reduce(idx, scan, pair)[0]
 
 
 def _rewrite(
@@ -425,8 +424,8 @@ def reduced_word(w: Word, r: Word) -> tuple[Word, ReductionTrace]:
     (condition 5); the rewrite runs without maximality — conditions 1-4 —
     and the asserts then report any failure honestly.
     """
-    idx, scan, pair = _reducible(w, r)
-    idx = idx.copy()
+    pair = _reducible(w, r)
+    idx, scan = _owned(w)
     trace, res_scan = _rewrite(idx, scan, pair)
     # nothing moves idx again, so the result keeps it as its analysis
     _keep(trace.result, idx, res_scan)

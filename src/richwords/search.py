@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from .errors import AlphabetMismatch, InternalInconsistency, NotRich, PreconditionViolation
+from .errors import AlphabetMismatch, InternalInconsistency, NotRich, _require_int
 from .palindromes import PalIndex, _index, _walk, is_rich, pal_closure
 from .words import Alphabet, Word, _Record
 
@@ -57,14 +57,8 @@ class EnumConfig:
     canonical: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.alphabet_size, int) or self.alphabet_size < 1:
-            raise PreconditionViolation(
-                f"alphabet size must be a positive integer, got {self.alphabet_size!r}"
-            )
-        if not isinstance(self.max_length, int) or self.max_length < 0:
-            raise PreconditionViolation(
-                f"max length must be a nonnegative integer, got {self.max_length!r}"
-            )
+        _require_int(self.alphabet_size, "alphabet size")
+        _require_int(self.max_length, "max length", lo=0)
 
 
 DEFAULT_MAX_NODES = 1_000_000
@@ -80,16 +74,9 @@ class SearchBudget(_Record):
     max_nodes: int = DEFAULT_MAX_NODES
 
     def __post_init__(self):
-        if self.max_length is not None and (
-            not isinstance(self.max_length, int) or self.max_length < 0
-        ):
-            raise PreconditionViolation(
-                f"max length must be a nonnegative integer, got {self.max_length!r}"
-            )
-        if not isinstance(self.max_nodes, int) or self.max_nodes < 1:
-            raise PreconditionViolation(
-                f"max nodes must be a positive integer, got {self.max_nodes!r}"
-            )
+        if self.max_length is not None:
+            _require_int(self.max_length, "max length", lo=0)
+        _require_int(self.max_nodes, "max nodes")
 
 
 class SearchStatus(Enum):
@@ -130,10 +117,7 @@ def enumerate_rich(config: EnumConfig, workers: int = 1) -> Iterator[Word]:
     order relative to each other. The pool never holds more processes than
     there are subtrees or cores, however large ``workers`` is.
     """
-    if not isinstance(workers, int) or workers < 1:
-        raise PreconditionViolation(
-            f"workers must be a positive integer, got {workers}"
-        )
+    _require_int(workers, "workers")
     alphabet = Alphabet(config.alphabet_size)
     base = alphabet.word("")
     yield base

@@ -75,6 +75,11 @@ def test_bound_argument_validation():
 def test_digit_count_matches_str_for_printable_values():
     for n in list(range(1, 2000)) + [10**14 - 1, 10**14, 10**15 - 1, 10**15]:
         assert digit_count(n) == len(str(n)), n
+    for k in range(1, 16):
+        for n in (10**k - 1, 10**k, 10**k + 1):
+            assert digit_count(n) == len(str(n)), n
+    # a bool counts as its integer, not as the letters of its name
+    assert digit_count(True) == 1
     for k in (16, 20, 100, 1000, 4000):
         for n in (10**k - 1, 10**k, 10**k + 1, 3 * 10**k + 7):
             assert digit_count(n) == len(str(n)), (k, n % 100)

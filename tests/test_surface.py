@@ -6,7 +6,14 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 import richwords
+from richwords import (
+    EnumConfig, LengthViolation, PreconditionViolation, SearchBudget, digit_count,
+    ensure_printable, enumerate_rich, flex_count_bound, maximal_reducible,
+    pal_complexity_bound, std_ext, superword_length_bound, word,
+)
 
 MODULES = [
     "words", "palindromes", "extensions", "reduction",
@@ -76,3 +83,46 @@ def test_word_memo_and_index_lists_are_read_in_palindromes_alone():
             with open(os.path.join(package, name), encoding="utf-8") as f:
                 readers += [(name, m.group()) for m in private.finditer(f.read())]
     assert readers == []
+
+
+def _budget_length(v):
+    return SearchBudget(max_length=v)
+
+
+# Every count argument: (call, label, lowest value, error class). A count is
+# an int at least its lowest value, a bool counting as its integer.
+PV = PreconditionViolation
+COUNTS = [
+    (digit_count, "n", 1, PV),
+    (ensure_printable, "digits", 0, PV),
+    (lambda v: pal_complexity_bound(v, 2), "length", 1, PV),
+    (lambda v: pal_complexity_bound(2, v), "alphabet size", 1, PV),
+    (lambda v: flex_count_bound(v, 2), "marker length", 1, PV),
+    (lambda v: flex_count_bound(2, v), "alphabet size", 1, PV),
+    (lambda v: superword_length_bound(v, 2), "marker length", 1, PV),
+    (lambda v: superword_length_bound(1, v), "alphabet size", 1, PV),
+    (lambda v: superword_length_bound(1, 2, digit_cap=v), "digit cap", 1, PV),
+    (lambda v: EnumConfig(v, 3), "alphabet size", 1, PV),
+    (lambda v: EnumConfig(2, v), "max length", 0, PV),
+    (_budget_length, "max length", 0, PV),
+    (lambda v: SearchBudget(max_nodes=v), "max nodes", 1, PV),
+    (lambda v: next(enumerate_rich(EnumConfig(2, 3), workers=v)), "workers", 1, PV),
+    (lambda v: maximal_reducible(word("0110", 2), v), "floor", 1, PV),
+    (lambda v: std_ext(word("01", 2), v), "step count", 0, LengthViolation),
+]
+
+
+@pytest.mark.parametrize(
+    "call, label, lo, error", COUNTS, ids=[f"{i}-{row[1]}" for i, row in enumerate(COUNTS)]
+)
+def test_every_count_argument_is_checked_alike(call, label, lo, error):
+    bound = "a positive integer" if lo == 1 else "an integer >= 0"
+    # SearchBudget(max_length=None) is accepted: it means |w1| + |w2|
+    rejected = (lo - 1, 1.5, 2.0, "2") + (() if call is _budget_length else (None,))
+    for value in rejected:
+        with pytest.raises(error) as caught:
+            call(value)
+        assert type(caught.value) is error, value
+        assert str(caught.value) == f"{label} must be {bound}, got {value!r}"
+    for value in (lo, True):
+        call(value)
