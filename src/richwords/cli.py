@@ -1,8 +1,9 @@
 """Command-line surface for the rich-words toolkit.
 
 One subcommand per library operation; words are written as display symbols
-(0-9 then a-z). Exit status 0 means success, 1 a domain rejection (the
-message on standard error names the failing condition), 2 a usage error.
+(0-9 then a-z). Exit status 0 means success, 1 a domain rejection or a
+guarantee check that failed (the message on standard error names the
+failing condition), 2 a usage error.
 Structured output is line-delimited JSON so harnesses can stream it.
 
 ``@_command`` declares each handler a subcommand. Handlers get their word
@@ -20,7 +21,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .bounds import DEFAULT_DIGIT_CAP, ensure_printable, superword_length_bound
 from .eliminate import eliminate, shortest_marked_factor
-from .errors import DomainError, NotReducible, ResourceLimit
+from .errors import DomainError, InternalInconsistency, NotReducible, ResourceLimit
 from .extensions import std_ext
 from .palindromes import is_rich, pal_closure, pal_factors
 from .reduction import (
@@ -361,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
         texts = [t for t in (getattr(args, name) for name in names) if t is not None]
         words = _resolve_words(args.q, *texts) if texts else []
         _render(handler(args, *words), args.format)
-    except (_UsageError, DomainError, ResourceLimit) as exc:
+    except (_UsageError, DomainError, InternalInconsistency, ResourceLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, _UsageError) else 1
     return 0

@@ -17,7 +17,7 @@ __all__ = ["std_ext", "is_std_ext", "max_std_ext", "rich_extensions"]
 
 
 def _require_extendable(w: Word) -> PalIndex:
-    """The index ``w`` keeps; each caller leaves it as it found it."""
+    """The index ``w`` keeps, to read or copy, never to edit."""
     idx = _analysis(w)[0]
     if len(w.chars) < 2:
         raise LengthViolation(
@@ -29,15 +29,11 @@ def _require_extendable(w: Word) -> PalIndex:
 def _std_run(s: str, idx: PalIndex, k: int) -> int:
     """Where the standard run through ``s`` from position ``k`` stops: the
     first position whose letter is not the standard one, or ``len(s)``.
-    ``idx`` indexes ``s[:k]``; it is extended along the run and cut back
-    before returning."""
-    start = k
-    try:
-        while k < len(s) and s[k] == idx.std_letter(k):
-            idx.append(s[k])
-            k += 1
-    finally:
-        idx.truncate(start)
+    ``idx`` indexes ``s[:k]``; a copy of it is extended along the run."""
+    idx = idx.copy()
+    while k < len(s) and s[k] == idx.std_letter(k):
+        idx.append(s[k])
+        k += 1
     return k
 
 
@@ -48,15 +44,10 @@ def std_ext(w: Word, steps: int = 1) -> Word:
     """
     idx = _require_extendable(w)
     _require_int(steps, "step count", lo=0, error=LengthViolation)
-    out = list(w.chars)
-    try:
-        for _ in range(steps):
-            ch = idx.std_letter(len(out))
-            idx.append(ch)
-            out.append(ch)
-    finally:
-        idx.truncate(len(w.chars))
-    return w._wrap("".join(out))
+    idx = idx.copy()
+    for _ in range(steps):
+        idx.append(idx.std_letter(len(idx)))
+    return w._wrap(idx.chars)
 
 
 def is_std_ext(u: Word, v: Word) -> bool:

@@ -25,9 +25,8 @@ scan (``_FlexScan``), built on first use by one loop, ``extend``, which
 reads each flexed step off the suffix-link walk the step makes anyway; the
 calls after the first build neither. Only this module reads or writes that memo, and having it is the
 proof that the word is rich. The kept index is never edited:
-``require_rich`` hands out a copy, a call that moves an index moves a copy,
-and a call that only appends for a look ahead undoes every append before it
-returns.
+``require_rich`` hands out a copy, a call that moves or extends an index
+moves or extends a copy, and a call that only tests letters edits nothing.
 """
 
 from __future__ import annotations
@@ -169,8 +168,10 @@ class PalIndex:
         and one more comparison a hop.
 
         The loop repeats ``append``'s with the lists held in locals once per
-        call. ``append`` keeps its own copy for callers that add one letter,
-        such as ``rich_letters``; the tree walker ``_walk`` inlines the step.
+        call. ``append`` keeps its own copy for callers that add one letter at
+        a time, such as ``std_ext`` and the standard-run checks, and as the
+        per-letter reference the tests hold ``extend`` to; the tree walker
+        ``_walk`` inlines the step.
         """
         rest = text.lstrip(self.alphabet.letters)
         if rest:
@@ -355,16 +356,10 @@ class PalIndex:
         return 0
 
     def rich_letters(self) -> str:
-        """Letters whose append keeps the current (rich) word rich.
-
-        Each letter is appended and popped again, so the index is unchanged.
-        """
-        out = []
-        for ch in self.alphabet.letters:
-            if self.append(ch):
-                out.append(ch)
-            self.pop()
-        return "".join(out)
+        """Letters whose append keeps the current (rich) word rich: the last
+        letters of its children in the tree walk, which at this ceiling tests
+        each letter without editing the index."""
+        return "".join(child[-1] for child in _walk(self, len(self._chars) + 1))
 
     def iter_palindromes(self) -> Iterator[str]:
         """Every distinct nonempty palindromic factor, as a display string.

@@ -115,10 +115,15 @@ def enumerate_rich(config: EnumConfig, workers: int = 1) -> Iterator[Word]:
     word, children in display order. With ``workers`` > 1 the subtrees below
     a fixed depth are handed to worker processes and may be emitted out of
     order relative to each other. The pool never holds more processes than
-    there are subtrees or cores, however large ``workers`` is.
+    there are subtrees or cores, however large ``workers`` is. ``workers``
+    is checked when called, before the stream is read.
     """
     _require_int(workers, "workers")
-    alphabet = Alphabet(config.alphabet_size)
+    return _enumerate(config, workers, Alphabet(config.alphabet_size))
+
+
+def _enumerate(config: EnumConfig, workers: int, alphabet: Alphabet) -> Iterator[Word]:
+    """The stream ``enumerate_rich`` returns, over checked arguments."""
     base = alphabet.word("")
     yield base
     if workers == 1:

@@ -189,6 +189,16 @@ def test_reduce_result_and_trace(capsys):
     assert record["maximal"] is True
 
 
+def test_reduce_failed_guarantee_is_one_error_line(capsys):
+    # a non-maximal target that passes conditions 1-4, whose rewrite gains a
+    # flexed palindrome: the guarantee check's message, not a traceback
+    assert run(capsys, "reduce", "0011101101", "111") == (
+        1,
+        "",
+        "error: reduced word '001101101' has new flexed palindromes\n",
+    )
+
+
 def test_eliminate_cli(capsys):
     assert run(capsys, "eliminate", "--q", "2", "000000001011", "00", "11") == (
         0,

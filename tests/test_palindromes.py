@@ -6,6 +6,7 @@ import pickle
 import random
 import re
 import sys
+import threading
 
 import pytest
 
@@ -24,11 +25,15 @@ from richwords import (
     eliminate,
     flexed_palindromes,
     is_rich,
+    is_std_ext,
     lpp,
     lppp,
     lpps,
     lps,
+    max_std_ext,
+    maximal_reducible,
     pal_closure,
+    pal_complexity_profile,
     pal_factors,
     pal_factors_avoiding,
     rich_extensions,
@@ -488,7 +493,7 @@ def test_index_pop_restores_every_statistic():
             assert idx.lps_is_new(k) == fresh.lps_is_new(k)
         assert idx.lpp_length() == fresh.lpp_length()
         assert list(idx.iter_palindromes()) == list(fresh.iter_palindromes())
-        # rich_letters appends and pops each letter: the index must come back
+        # rich_letters only tests letters: the index must stay as it is
         state = _index_state(idx)
         assert idx.rich_letters() == fresh.rich_letters()
         assert _index_state(idx) == state
@@ -562,6 +567,76 @@ def test_library_keeps_one_analysis_per_rich_word():
     # the same index, never moved: no call built or edited another
     assert w._pal is kept and w._pal[0] is idx
     assert _fields(idx) == _fields(PalIndex.of_word(word(WF)))
+
+
+def test_no_public_reader_edits_the_kept_index(monkeypatch):
+    w = word(WF)
+    flexed_palindromes(w)
+    kept = w._pal[0]
+    before = _fields(kept)
+    edits, reader = [], [None]
+    for name in ("append", "pop", "extend", "truncate"):
+        method = getattr(PalIndex, name)
+
+        def spy(self, *args, _name=name, _method=method):
+            if self is kept:
+                edits.append((reader[0], _name))
+            return _method(self, *args)
+
+        monkeypatch.setattr(PalIndex, name, spy)
+    longer = std_ext(word(WF), 5)  # another word: its index is not the one watched
+    readers = {
+        "rich_extensions": lambda: rich_extensions(w),
+        "std_ext": lambda: std_ext(w, 3),
+        "is_std_ext": lambda: is_std_ext(longer, w),
+        "max_std_ext": lambda: max_std_ext(longer + "0", w),
+        "flexed_palindromes": lambda: flexed_palindromes(w),
+        "lps/lpp": lambda: (lps(w), lpp(w), lpps(w), lppp(w)),
+        "pal_factors": lambda: pal_factors(w),
+        "pal_complexity_profile": lambda: pal_complexity_profile(w),
+        "maximal_reducible": lambda: maximal_reducible(w, 1),
+        "shortest_marked_factor": lambda: shortest_marked_factor(w, w[:1], w[-1:]),
+        "eliminate": lambda: eliminate(w, w[:1], w[-1:]),
+        "require_rich": lambda: require_rich(w),
+    }
+    for name, call in readers.items():
+        reader[0] = name
+        call()
+    assert edits == []
+    assert w._pal[0] is kept and _fields(kept) == before
+
+
+def test_concurrent_look_aheads_on_one_word_agree_and_keep_its_index():
+    rng = random.Random(20261020)
+    idx = PalIndex.of_word(word("", 3))
+    while len(idx) < 40:
+        idx.append(rng.choice(idx.rich_letters()))
+    s = idx.chars
+    w = word(s, 3)
+    expected = (rich_extensions(w), std_ext(w, 3))
+    failures = []
+
+    def hammer():
+        try:
+            for _ in range(2000):
+                got = (rich_extensions(w), std_ext(w, 3))
+                if got != expected:
+                    failures.append(got)
+        except Exception as exc:  # any error is a failure to report
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+    assert _fields(w._pal[0]) == _fields(PalIndex.of_word(word(s, 3)))
 
 
 def test_caller_edits_to_required_index_change_no_later_answer():

@@ -9,6 +9,7 @@ import pytest
 import oracles
 from richwords import (
     AlphabetMismatch,
+    DomainError,
     EnumConfig,
     NotRich,
     PalIndex,
@@ -127,10 +128,18 @@ def test_non_integer_workers_are_refused_before_any_pool(monkeypatch):
     started = []
     monkeypatch.setattr(multiprocessing, "Pool", lambda *a, **k: started.append(a))
     for workers in (1.5, 2.0, "2", None):
-        stream = enumerate_rich(EnumConfig(2, 5), workers=workers)
         with pytest.raises(PreconditionViolation, match="workers must be"):
-            next(stream)
+            next(enumerate_rich(EnumConfig(2, 5), workers=workers))
     assert started == []
+
+
+def test_enumerate_rich_checks_its_arguments_when_called():
+    # no stream is returned, so no next() is needed to see the rejection
+    for workers in (0, -1, 1.5):
+        with pytest.raises(PreconditionViolation, match="^workers must be"):
+            enumerate_rich(EnumConfig(2, 3), workers=workers)
+    with pytest.raises(DomainError, match="alphabet"):
+        enumerate_rich(EnumConfig(40, 3))
 
 
 def test_enum_config_validation():
