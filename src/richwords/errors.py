@@ -2,7 +2,9 @@
 
 ``DomainError`` subclasses signal bad input (the CLI maps them to exit code 1).
 ``InternalInconsistency`` signals a broken internal invariant and is never
-expected on valid input; ``ResourceLimit`` signals a blown resource cap.
+expected on valid input; ``NonMaximalRewrite`` is both, a guarantee lost on
+a target the guarantees do not cover. ``ResourceLimit`` signals a blown
+resource cap.
 ``_require_int`` is the one check of a count argument (a length, a size, a
 budget, a worker count): an ``int`` at least its lowest value, a bool
 counting as its integer.
@@ -22,6 +24,7 @@ __all__ = [
     "NotReducible",
     "PreconditionViolation",
     "InternalInconsistency",
+    "NonMaximalRewrite",
     "ResourceLimit",
 ]
 
@@ -84,6 +87,15 @@ def _require_int(value, label: str, lo: int = 1, error=PreconditionViolation) ->
 
 class InternalInconsistency(RuntimeError):
     """A guaranteed internal invariant failed; indicates an implementation bug."""
+
+
+class NonMaximalRewrite(DomainError, InternalInconsistency):
+    """A rewrite lost a guarantee on a target that fails reducibility
+    condition 5 (maximality), for which the guarantees are not proven.
+
+    Bad input, not a broken invariant; it is also an
+    ``InternalInconsistency``, so handlers of a failed guarantee catch it.
+    """
 
 
 class ResourceLimit(RuntimeError):

@@ -3,38 +3,44 @@
 Every rich word w with |w| >= 2 has exactly one one-letter extension wa whose
 longest palindromic suffix is a p a, where p is the longest proper palindromic
 suffix of w; that extension (the standard one) is again rich, and a is simply
-the letter that precedes p in w. Iterating standard steps from w eventually
-reaches the palindromic closure of w.
+the letter that precedes p in w.
+
+In closed form, the standard steps from w grow the first |P| - q letters of
+its palindromic closure P, repeated, where q is the length of the longest
+palindromic prefix of w, or of its longest proper one when w = P. Sketch:
+- Short of P no extension of w is a palindrome, so each step grows the
+  longest palindromic suffix by two, mirroring one letter of w.
+- q is P's longest proper palindromic prefix (a longer one would be a
+  palindrome extending w, shorter than P) and so a border: P has period
+  d = |P| - q, and its d-periodic extension X is symmetric about P's
+  centre + d/2. By induction on k < d, the longest palindromic suffix after
+  k more steps has length q + 2k, so the standard letter X[d - k - 1]
+  mirrors to the next periodic one, X[|P| + k].
+- After d steps the word is a palindrome whose longest proper palindromic
+  prefix is P: a longer one would give P a smaller period and a
+  palindromic prefix longer than q. So the period stays d.
 """
 
 from __future__ import annotations
 
 from .errors import LengthViolation, NotAPrefix, _require_int
-from .palindromes import PalIndex, _analysis
-from .words import Word
+from .palindromes import _analysis, pal_closure
+from .words import Word, common_prefix_len
 
 __all__ = ["std_ext", "is_std_ext", "max_std_ext", "rich_extensions"]
 
 
-def _require_extendable(w: Word) -> PalIndex:
-    """The index ``w`` keeps, to read or copy, never to edit."""
-    idx = _analysis(w)[0]
-    if len(w.chars) < 2:
-        raise LengthViolation(
-            f"standard extension needs length >= 2, got {len(w.chars)}"
-        )
-    return idx
-
-
-def _std_run(s: str, idx: PalIndex, k: int) -> int:
-    """Where the standard run through ``s`` from position ``k`` stops: the
-    first position whose letter is not the standard one, or ``len(s)``.
-    ``idx`` indexes ``s[:k]``; a copy of it is extended along the run."""
-    idx = idx.copy()
-    while k < len(s) and s[k] == idx.std_letter(k):
-        idx.append(s[k])
-        k += 1
-    return k
+def _std_word(w: Word, steps: int) -> str:
+    """``w`` after ``steps`` standard steps. Checks richness, |w| >= 2, ``steps``."""
+    idx, scan = _analysis(w)
+    n = len(w.chars)
+    if n < 2:
+        raise LengthViolation(f"standard extension needs length >= 2, got {n}")
+    _require_int(steps, "step count", lo=0, error=LengthViolation)
+    closure = pal_closure(w).chars
+    q = scan.lpp if len(closure) > n else idx.lpps_length(n)
+    period = closure[: len(closure) - q]
+    return (period * ((n + steps) // len(period) + 1))[: n + steps]
 
 
 def std_ext(w: Word, steps: int = 1) -> Word:
@@ -42,12 +48,7 @@ def std_ext(w: Word, steps: int = 1) -> Word:
 
     ``steps=0`` returns ``w`` itself. Requires ``w`` rich and |w| >= 2.
     """
-    idx = _require_extendable(w)
-    _require_int(steps, "step count", lo=0, error=LengthViolation)
-    idx = idx.copy()
-    for _ in range(steps):
-        idx.append(idx.std_letter(len(idx)))
-    return w._wrap(idx.chars)
+    return w._wrap(_std_word(w, steps))
 
 
 def is_std_ext(u: Word, v: Word) -> bool:
@@ -56,10 +57,8 @@ def is_std_ext(u: Word, v: Word) -> bool:
     True when v is a prefix of u and every letter of u beyond v is the
     standard one. Requires ``v`` rich and |v| >= 2.
     """
-    idx = _require_extendable(v)
-    if not u.chars.startswith(v.chars):
-        return False
-    return _std_run(u.chars, idx, len(v.chars)) == len(u.chars)
+    # for u shorter than v, the standard word has v's length, not u's
+    return u.chars == _std_word(v, max(len(u.chars) - len(v.chars), 0))
 
 
 def max_std_ext(u: Word, v: Word) -> Word:
@@ -69,8 +68,8 @@ def max_std_ext(u: Word, v: Word) -> Word:
     """
     if not u.chars.startswith(v.chars):
         raise NotAPrefix(f"{v.chars!r} is not a prefix of {u.chars!r}")
-    idx = _require_extendable(v)
-    return u[: _std_run(u.chars, idx, len(v.chars))]
+    std = _std_word(v, len(u.chars) - len(v.chars))
+    return u[: common_prefix_len(u.chars, std)]
 
 
 def rich_extensions(w: Word) -> frozenset[str]:

@@ -25,8 +25,9 @@ scan (``_FlexScan``), built on first use by one loop, ``extend``, which
 reads each flexed step off the suffix-link walk the step makes anyway; the
 calls after the first build neither. Only this module reads or writes that memo, and having it is the
 proof that the word is rich. The kept index is never edited:
-``require_rich`` hands out a copy, a call that moves or extends an index
-moves or extends a copy, and a call that only tests letters edits nothing.
+``require_rich`` hands out a copy, a call that moves an index moves a copy,
+and a call that only reads it (``rich_letters``, the standard extensions)
+neither edits nor copies it.
 """
 
 from __future__ import annotations
@@ -168,10 +169,9 @@ class PalIndex:
         and one more comparison a hop.
 
         The loop repeats ``append``'s with the lists held in locals once per
-        call. ``append`` keeps its own copy for callers that add one letter at
-        a time, such as ``std_ext`` and the standard-run checks, and as the
-        per-letter reference the tests hold ``extend`` to; the tree walker
-        ``_walk`` inlines the step.
+        call. ``append`` stays for callers outside the library that add one
+        letter at a time, and as the per-letter reference the tests hold
+        ``extend`` and the standard extensions to; ``_walk`` inlines the step.
         """
         rest = text.lstrip(self.alphabet.letters)
         if rest:

@@ -25,6 +25,7 @@ from .errors import (
     NotReducible,
     NotRich,
     InternalInconsistency,
+    NonMaximalRewrite,
     NotAFlexedPalindrome,
 )
 from .palindromes import (
@@ -390,27 +391,25 @@ def _rewrite(
     idx: PalIndex, scan: dict, pair: ReduciblePair
 ) -> tuple[ReductionTrace, dict]:
     """The rewrite of ``pair`` checked against its five guarantees, with the
-    scan of the result; raises on any failure. Moves ``idx``, the index of
-    the pair's word with flex scan ``scan``, to the result."""
+    scan of the result; raises on any failure, ``NonMaximalRewrite`` when
+    the pair fails condition 5. Moves ``idx``, the index of the pair's word
+    with flex scan ``scan``, to the result."""
     trace, res_scan = _reduce(idx, scan, pair)
+    fail = InternalInconsistency if pair.maximal else NonMaximalRewrite
     s, t = pair.word.chars, pair.target.chars
     res = trace.result.chars
 
     if not idx.rich:
-        raise InternalInconsistency(f"reduced word {res!r} is not rich")
+        raise fail(f"reduced word {res!r} is not rich")
     if not res_scan.keys() <= scan.keys():
-        raise InternalInconsistency(
-            f"reduced word {res!r} has new flexed palindromes"
-        )
+        raise fail(f"reduced word {res!r} has new flexed palindromes")
     if occ_str(res, t) >= occ_str(s, t):
-        raise InternalInconsistency(
-            f"occurrences of {t!r} did not decrease in {res!r}"
-        )
+        raise fail(f"occurrences of {t!r} did not decrease in {res!r}")
     k = len(t) - 1
     if res[:k] != s[:k]:
-        raise InternalInconsistency(f"common prefix of {res!r} and {s!r} too short")
+        raise fail(f"common prefix of {res!r} and {s!r} too short")
     if res[-k:] != s[-k:]:
-        raise InternalInconsistency(f"common suffix of {res!r} and {s!r} too short")
+        raise fail(f"common suffix of {res!r} and {s!r} too short")
     return trace, res_scan
 
 
@@ -422,7 +421,7 @@ def reduced_word(w: Word, r: Word) -> tuple[Word, ReductionTrace]:
     often, and both the common prefix and common suffix with ``w`` have
     length at least |r| - 1. The guarantees are proven for maximal targets
     (condition 5); the rewrite runs without maximality — conditions 1-4 —
-    and the asserts then report any failure honestly.
+    and a guarantee it then loses raises ``NonMaximalRewrite``.
     """
     pair = _reducible(w, r)
     idx, scan = _owned(w)

@@ -1,5 +1,7 @@
 """Standard extensions: the forced letter, iterates, and maximal extensions."""
 
+import random
+
 import pytest
 
 import oracles
@@ -7,6 +9,8 @@ from richwords import (
     LengthViolation,
     NotAPrefix,
     NotRich,
+    PalIndex,
+    flexed_palindromes,
     is_rich,
     is_std_ext,
     max_std_ext,
@@ -40,6 +44,23 @@ def test_std_ext_errors():
     for steps in (1.5, 2.0, "2", None):
         with pytest.raises(LengthViolation, match="step count must be an integer"):
             std_ext(word("01", 2), steps)
+
+
+def test_std_ext_errors_come_in_order():
+    # richness, then |w| >= 2, then the step count; NotAPrefix leads max_std_ext
+    bad = next(s for s in oracles.all_words(2, 8) if not oracles.is_rich(s))
+    with pytest.raises(NotRich):
+        std_ext(word(bad, 2), -1)
+    with pytest.raises(LengthViolation, match="needs length >= 2"):
+        std_ext(word("0", 2), -1)
+    with pytest.raises(NotRich):
+        is_std_ext(word("0", 2), word(bad, 2))
+    with pytest.raises(LengthViolation, match="needs length >= 2"):
+        is_std_ext(word("", 2), word("0", 2))
+    with pytest.raises(NotAPrefix):
+        max_std_ext(word("1", 2), word(bad, 2))
+    with pytest.raises(NotRich):
+        max_std_ext(word(bad + "0", 2), word(bad, 2))
 
 
 def test_std_ext_matches_oracle_and_stays_rich(rich2):
@@ -126,3 +147,80 @@ def test_rich_extensions_contain_the_standard_letter(rich2):
         if len(s) < 2:
             continue
         assert oracles.std_letter(s) in rich_extensions(word(s, 2)), s
+
+
+# -- the closed form against the per-letter reference ---------------------------
+
+
+def _std_reference(s, q, steps):
+    """``steps`` standard letters after ``s``, one ``std_letter`` and
+    ``append`` at a time."""
+    idx = PalIndex.of_word(word(s, q))
+    for _ in range(steps):
+        idx.append(idx.std_letter(len(idx)))
+    return idx.chars
+
+
+def _other(ch, q):
+    return oracles.letters(q)[(oracles.letters(q).index(ch) + 1) % q]
+
+
+def _assert_std_calls_agree(s, q, steps, positions):
+    """``std_ext``, ``is_std_ext`` and ``max_std_ext`` on ``s`` against the
+    reference word, and on that word with one letter changed at each of
+    ``positions`` (each past ``s``)."""
+    w = word(s, q)
+    ref = _std_reference(s, q, steps)
+    assert std_ext(w, steps).chars == ref, s
+    assert is_std_ext(word(ref, q), w), s
+    assert max_std_ext(word(ref, q), w).chars == ref, s
+    for i in positions:
+        u = word(ref[:i] + _other(ref[i], q) + ref[i + 1 :], q)
+        assert not is_std_ext(u, w), (s, i)
+        assert is_std_ext(u[:i], w), (s, i)
+        assert max_std_ext(u, w).chars == ref[:i], (s, i)
+
+
+@pytest.mark.parametrize("q, max_len", [(2, 12), (3, 8), (4, 6)])
+def test_std_calls_match_the_per_letter_reference(q, max_len):
+    for s in oracles.rich_words(q, max_len):
+        if len(s) >= 2:
+            steps = 2 * len(s) + 3
+            _assert_std_calls_agree(s, q, steps, range(len(s), len(s) + steps))
+
+
+def test_std_calls_match_the_per_letter_reference_on_long_words():
+    rng = random.Random(26)
+    for n in range(30):
+        q = (2, 3, 5)[n % 3]
+        idx = PalIndex.of_word(word("", q))
+        target = rng.randint(50, 2000)
+        while len(idx) < target:
+            idx.append(rng.choice(idx.rich_letters()))
+        s = idx.chars
+        steps = rng.randint(1, 3000)
+        positions = sorted(rng.sample(range(len(s), len(s) + steps), min(steps, 20)))
+        _assert_std_calls_agree(s, q, steps, positions)
+
+
+def test_std_calls_copy_and_extend_no_index(monkeypatch):
+    s = "123999322399932442399932255223993"
+    w = word(s)
+    flexed_palindromes(w)  # the analysis the calls read
+    q = w.alphabet.size
+    longer = word(_std_reference(s, q, 40), q)
+    calls = []
+    for name in ("copy", "append", "extend"):
+        method = getattr(PalIndex, name)
+
+        def spy(self, *args, _name=name, _method=method):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(PalIndex, name, spy)
+    of_word = PalIndex.of_word
+    monkeypatch.setattr(PalIndex, "of_word", lambda w: calls.append("of_word") or of_word(w))
+    assert std_ext(w, 40) == longer
+    assert is_std_ext(longer, w)
+    assert max_std_ext(longer + "0", w) == longer
+    assert calls == []

@@ -10,6 +10,7 @@ from richwords import (
     Alphabet,
     DomainError,
     InternalInconsistency,
+    NonMaximalRewrite,
     NotAFlexedPalindrome,
     NotReducible,
     NotRich,
@@ -457,6 +458,58 @@ def test_rewrite_rejects_conditions_one_to_four_only():
     assert not set(oracles.flexed("001101101")) <= set(oracles.flexed("0011101101"))
     with pytest.raises(InternalInconsistency, match="new flexed palindromes"):
         reduced_word(word("0011101101", 2), word("111", 2))
+
+
+def test_non_maximal_rewrites_keep_their_guarantees_or_raise_a_domain_error():
+    # Every pair that fails condition 5 alone, over binary <= 14 and ternary
+    # <= 9: the rewrite returns a word the oracle finds meets all five
+    # guarantees, or raises NonMaximalRewrite, a DomainError.
+    pairs, raised = {2: 0, 3: 0}, {2: 0, 3: 0}
+    for q, max_len in ((2, 14), (3, 9)):
+        for s in oracles.rich_words(q, max_len):
+            w = word(s, q)
+            flex = None
+            for rec in flexed_palindromes(w):
+                outcome = check_reducible(w, rec.palindrome)
+                if not (isinstance(outcome, ReductionRejection) and outcome.condition == 5):
+                    continue
+                pairs[q] += 1
+                try:
+                    out = reduced_word(w, rec.palindrome)[0].chars
+                except NonMaximalRewrite as exc:
+                    assert isinstance(exc, DomainError)
+                    raised[q] += 1
+                    continue
+                r = rec.palindrome.chars
+                flex = flex or oracles.flexed(s)
+                assert oracles.is_rich(out), (s, r)
+                assert oracles.flexed(out).keys() <= flex.keys(), (s, r)
+                assert oracles.occ(out, r) < oracles.occ(s, r), (s, r)
+                k = len(r) - 1
+                assert out[:k] == s[:k] and out[-k:] == s[-k:], (s, r)
+    assert pairs == {2: 38782, 3: 3420}
+    assert raised == {2: 534, 3: 0}
+
+
+def test_a_lost_guarantee_is_a_domain_error_only_on_a_non_maximal_pair(monkeypatch):
+    # With a flexed palindrome slipped into every result's scan, the check
+    # "no new flexed palindromes" fails on every rewrite: a maximal pair
+    # reports a broken invariant, a non-maximal one bad input.
+    import richwords.reduction as reduction
+
+    rewrite = reduction._reduce
+
+    def tampered(idx, scan, pair):
+        trace, res_scan = rewrite(idx, scan, pair)
+        return trace, {**res_scan, "slipped in": None}
+
+    monkeypatch.setattr(reduction, "_reduce", tampered)
+    assert check_reducible(word(W1), word("3993")).maximal
+    with pytest.raises(InternalInconsistency, match="new flexed palindromes") as caught:
+        reduced_word(word(W1), word("3993"))
+    assert type(caught.value) is InternalInconsistency
+    with pytest.raises(NonMaximalRewrite, match="new flexed palindromes"):
+        reduced_word(word(W1), word("999"))
 
 
 def all_accepted_pairs(corpus, q, require_maximal):

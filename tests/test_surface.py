@@ -24,7 +24,7 @@ PUBLIC = [
     "Alphabet", "AlphabetMismatch", "BoundReport", "DEFAULT_DIGIT_CAP", "DEFAULT_MAX_NODES",
     "DomainError", "EliminationStep", "EliminationTrace", "EmptyPattern",
     "EnumConfig", "FlexRecord", "InternalInconsistency", "LengthViolation",
-    "NotAFactor", "NotAFlexedPalindrome", "NotAPrefix", "NotReducible",
+    "NonMaximalRewrite", "NotAFactor", "NotAFlexedPalindrome", "NotAPrefix", "NotReducible",
     "NotRich", "PalIndex", "ParseTriple", "PreconditionViolation",
     "ReduciblePair", "ReductionCase", "ReductionRejection", "ReductionTrace",
     "ResourceLimit", "SearchBudget", "SearchStatus", "SearchVerdict", "Word",
