@@ -23,20 +23,30 @@ palindromic prefix of w, or of its longest proper one when w = P. Sketch:
 
 from __future__ import annotations
 
-from .errors import LengthViolation, NotAPrefix, _require_int
+from .errors import LengthViolation, NotAPrefix, ResourceLimit, _require_int
 from .palindromes import _analysis, pal_closure
 from .words import Word, common_prefix_len
 
 __all__ = ["std_ext", "is_std_ext", "max_std_ext", "rich_extensions"]
 
+# The longest standard word built, in letters: a step count past it would ask
+# for the whole answer in memory, or overflow the string repeat.
+_LETTER_CAP = 100_000_000
+
 
 def _std_word(w: Word, steps: int) -> str:
-    """``w`` after ``steps`` standard steps. Checks richness, |w| >= 2, ``steps``."""
+    """``w`` after ``steps`` standard steps. Checks richness, |w| >= 2,
+    ``steps``, and then the letter cap, before anything is built."""
     idx, scan = _analysis(w)
     n = len(w.chars)
     if n < 2:
         raise LengthViolation(f"standard extension needs length >= 2, got {n}")
     _require_int(steps, "step count", lo=0, error=LengthViolation)
+    if n + steps > _LETTER_CAP:
+        raise ResourceLimit(
+            f"standard extension to {n + steps:,} letters exceeds the cap of "
+            f"{_LETTER_CAP:,}"
+        )
     closure = pal_closure(w).chars
     q = scan.lpp if len(closure) > n else idx.lpps_length(n)
     period = closure[: len(closure) - q]
@@ -47,6 +57,7 @@ def std_ext(w: Word, steps: int = 1) -> Word:
     """The word obtained from ``w`` by ``steps`` standard one-letter extensions.
 
     ``steps=0`` returns ``w`` itself. Requires ``w`` rich and |w| >= 2.
+    Raises ``ResourceLimit`` when the result would pass 100,000,000 letters.
     """
     return w._wrap(_std_word(w, steps))
 

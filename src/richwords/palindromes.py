@@ -14,7 +14,7 @@ testing, extension search, and the enumeration tree.
 Appends can be undone with ``pop``. ``_walk``, the one walker of the tree
 of rich words that enumeration and search share, walks it depth-first on
 one index without rebuilding: it tests a letter before appending it, and
-appends only a word that has children. ``extend`` and ``truncate`` edit
+appends only a word that has grandchildren. ``extend`` and ``truncate`` edit
 many letters at a time, in one call: ``extend`` builds every
 index of a whole word, and ``truncate`` plus ``extend`` move an index from
 one word to the next across their common prefix; ``copy`` gives a caller an
@@ -386,42 +386,53 @@ def _walk(
     letter may not skip an unused one, and with ``std_first`` the standard
     letter leads. A candidate is tested before any edit: it creates a
     palindrome exactly when the node its suffix-link walk reaches has no
-    edge for it yet. A failed letter costs no edit, and a child at
-    ``max_length`` is yielded without being appended; only a child with
-    children of its own is appended, after it is yielded, and popped once
-    they are exhausted. So while a word is yielded, ``idx`` holds its
-    parent. ``idx`` is walked in place and is back at its starting word
-    once the stream is exhausted.
+    edge for it yet. A failed letter costs no edit, and neither does a
+    child without grandchildren: one at ``max_length`` is yielded alone,
+    and one a letter short of it is yielded and then its children are
+    tested against the node it would add, held in locals, and yielded in
+    turn. Only a child with grandchildren is appended, after it is
+    yielded, and popped once they are exhausted. So while a word is
+    yielded, ``idx`` holds its parent, or its grandparent for a leaf under
+    an unappended node. ``idx`` is walked in place and is back at its
+    starting word once the stream is exhausted.
     """
     # The eertree step is inlined on the lists held in locals, split into a
     # read-only test and the edits of ``append``/``pop``: one ``append`` and
     # ``pop`` per candidate held superword-search at 2,746 items/s against
-    # 4,176, and enumerate at 477 k against 648 k (perfbench medians, 2
-    # cores, Python 3.11).
+    # 4,176, and enumerate at 477 k against 648 k. Testing the last level
+    # against locals, with no append and pop for the nodes above it, took
+    # enumerate from 632 k to 729 k (perfbench medians, 2 cores, Python
+    # 3.11).
     chars, lens, slink, trans = idx._chars, idx._len, idx._slink, idx._trans
     nodes, parents = idx._lps_node, idx._parent
     word = "".join(chars)
     if len(word) >= max_length:
         return
     letters = idx.alphabet.letters
-    used = [len(set(word))] if canonical else None
+    plain = not (canonical or std_first)
+    k = len(set(word))  # letters used so far; only ``canonical`` reads it
+    used = [k]
 
-    def candidates() -> Iterator[str]:
-        out = letters[: used[-1] + 1] if canonical else letters
-        if std_first and chars:
+    def candidates(s: str, k: int, plen: int, link_len: int) -> str:
+        """The letters to try after ``s``, which uses ``k`` letters and whose
+        longest palindromic suffix and that one's suffix link have lengths
+        ``plen`` and ``link_len``."""
+        out = letters[: k + 1] if canonical else letters
+        if std_first and s:
             # the standard letter precedes the longest proper palindromic
             # suffix; it occurs in the word, so it is a candidate
-            k = len(chars)
-            plen = lens[nodes[-1]]
-            if plen == k:
-                plen = lens[slink[nodes[-1]]]
-            std = chars[k - plen - 1]
+            if plen == len(s):
+                plen = link_len
+            std = s[len(s) - plen - 1]
             out = std + out.replace(std, "")
-        return iter(out)
+        return out
 
     top = nodes[-1] if nodes else 1  # the node of the word's longest palindromic suffix
     # one iterator per level, so idx holds the root and len(stack) - 1 letters
-    stack = [candidates()]
+    if plain:
+        stack = [iter(letters)]
+    else:
+        stack = [iter(candidates(word, k, lens[top], lens[slink[top]]))]
     while stack:
         ch = next(stack[-1], "")
         if not ch:
@@ -464,6 +475,35 @@ def _walk(
                     break
                 y = slink[y]
             sl = trans[y][ch]
+        if canonical:
+            k = used[-1]
+            if k < len(letters) and ch == letters[k]:
+                k += 1
+        out = letters if plain else candidates(child, k, new_len, lens[sl])
+        if n + 2 == max_length:
+            # The child's children are leaves: each is tested against the
+            # node the child's append would add (length new_len, suffix link
+            # sl, no edges yet) and yielded without an edit. Letters are read
+            # from the child string. The edge that append would add, (x, ch),
+            # is never the one a leaf's walk reaches: the leaf's palindrome
+            # would then be the child's, ending one letter later, and a word
+            # ending at two adjacent places is a run of one letter, for which
+            # the walk stops at a run one letter longer first.
+            m = n + 1
+            j = m - new_len - 1
+            for c in out:
+                if j >= 0 and child[j] == c:
+                    yield child + c
+                    continue
+                y = sl
+                while y:
+                    i = m - lens[y] - 1
+                    if i >= 0 and child[i] == c:
+                        break
+                    y = slink[y]
+                if c not in trans[y]:
+                    yield child + c
+            continue
         top = len(lens)
         edges[ch] = top
         lens.append(new_len)
@@ -474,9 +514,8 @@ def _walk(
         parents.append(x)
         word = child
         if canonical:
-            k = used[-1]
-            used.append(k + 1 if k < len(letters) and ch == letters[k] else k)
-        stack.append(candidates())
+            used.append(k)
+        stack.append(iter(out))
 
 
 def _index(w: Word) -> PalIndex:

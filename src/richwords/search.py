@@ -6,7 +6,7 @@ letter. One walker streams this tree depth-first: ``palindromes._walk``,
 which lives beside the palindrome index it edits in place. A word stays
 rich exactly when its next letter creates a palindrome, and the walker
 tests each candidate letter on the index before editing it; only a node
-with children is appended, and it is popped on backtrack. The walker keeps
+with grandchildren is appended, and it is popped on backtrack. The walker keeps
 an explicit stack, so walks are as deep as memory allows.
 
 The common-superword search asks: is there a rich word containing two given

@@ -138,6 +138,10 @@ def test_closure_and_extend(capsys):
     assert run(capsys, "extend", "--steps", "3", "12399") == (0, "12399321\n", "")
     _, out, _ = run(capsys, "extend", "--format", "json", "--steps", "3", "12399")
     assert json.loads(out) == {"word": "12399", "steps": 3, "result": "12399321"}
+    # a step count past the letter cap: one error line, no traceback
+    code, out, err = run(capsys, "extend", "--steps", str(2**63), "01")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: standard extension to ") and err.count("\n") == 1
 
 
 def test_profile_lines(capsys):

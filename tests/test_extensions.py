@@ -1,6 +1,7 @@
 """Standard extensions: the forced letter, iterates, and maximal extensions."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,6 +11,8 @@ from richwords import (
     NotAPrefix,
     NotRich,
     PalIndex,
+    ResourceLimit,
+    extensions,
     flexed_palindromes,
     is_rich,
     is_std_ext,
@@ -61,6 +64,40 @@ def test_std_ext_errors_come_in_order():
         max_std_ext(word("1", 2), word(bad, 2))
     with pytest.raises(NotRich):
         max_std_ext(word(bad + "0", 2), word(bad, 2))
+    # the letter cap comes last
+    with pytest.raises(NotRich):
+        std_ext(word(bad, 2), 2**63)
+    with pytest.raises(LengthViolation, match="needs length >= 2"):
+        std_ext(word("0", 2), 2**63)
+    with pytest.raises(LengthViolation, match="step count"):
+        std_ext(word("01", 2), float(2**63))
+
+
+def test_huge_step_counts_hit_the_letter_cap_before_any_allocation():
+    w = word("01", 2)
+    std_ext(w)  # the kept analysis, built before memory is traced
+    for steps in (2**63, 10**12):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit, match="exceeds the cap"):
+                std_ext(w, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, steps
+
+
+def test_letter_cap_counts_the_word_and_its_steps(monkeypatch):
+    # the largest pinned use, 10,000 letters extended by as many again, is
+    # far below the cap
+    assert extensions._LETTER_CAP >= 1000 * 20_000
+    monkeypatch.setattr(extensions, "_LETTER_CAP", 10)
+    assert std_ext(word("01", 2), 8).chars == "0101010101"
+    assert max_std_ext(word("0101010101", 2), word("01", 2)).chars == "0101010101"
+    with pytest.raises(ResourceLimit):
+        std_ext(word("01", 2), 9)
+    with pytest.raises(ResourceLimit):
+        is_std_ext(word("01010101010", 2), word("01", 2))
 
 
 def test_std_ext_matches_oracle_and_stays_rich(rich2):

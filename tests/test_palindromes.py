@@ -427,40 +427,111 @@ def _index_state(idx):
     )
 
 
+def _oracle_order(s, q, canonical, std_first):
+    """The letters the walker tries after ``s``, in its order, from the
+    naive standard letter."""
+    letters = oracles.letters(q)
+    if canonical:
+        letters = letters[: len(set(s)) + 1]
+    if std_first and s:
+        std = oracles.std_letter(s)
+        letters = std + letters.replace(std, "")
+    return letters
+
+
 def _oracle_preorder(root, q, max_length, canonical, std_first):
     """The strict descendants of ``root`` up to ``max_length``, in the
     walker's order, from the naive rich letters and standard letter."""
     out = []
     if len(root) >= max_length:
         return out
-    letters = oracles.letters(q)
-    if canonical:
-        letters = letters[: len(set(root)) + 1]
-    if std_first and root:
-        std = oracles.std_letter(root)
-        letters = std + letters.replace(std, "")
     rich = oracles.rich_letters(root, q)
-    for ch in letters:
+    for ch in _oracle_order(root, q, canonical, std_first):
         if ch in rich:
             out.append(root + ch)
             out += _oracle_preorder(root + ch, q, max_length, canonical, std_first)
     return out
 
 
+def _is_canonical(s, q):
+    first_seen = "".join(dict.fromkeys(s))
+    return first_seen == oracles.letters(q)[: len(first_seen)]
+
+
 def test_walk_matches_oracle_preorder_from_every_rich_root():
     # Nonempty roots, letters that fail, and leaves yielded without being
-    # appended, under every combination of options.
+    # appended, under every combination of options. A root one letter short
+    # of the ceiling has only leaves below it; one two letters short has
+    # children whose own children are tested without an append.
     for q, top in ((2, 7), (3, 4)):
         for root in oracles.rich_words(q, top):
-            first_seen = "".join(dict.fromkeys(root))
-            canonical_root = first_seen == oracles.letters(q)[: len(first_seen)]
-            for canonical in (False, True) if canonical_root else (False,):
+            for canonical in (False, True) if _is_canonical(root, q) else (False,):
                 for std_first in (False, True):
-                    idx = PalIndex.of_word(word(root, q))
-                    got = list(_walk(idx, len(root) + 3, canonical, std_first))
-                    want = _oracle_preorder(root, q, len(root) + 3, canonical, std_first)
-                    assert got == want, (root, canonical, std_first)
-                    assert _fields(idx) == _fields(PalIndex.of_word(word(root, q))), root
+                    for depth in (1, 2, 3):
+                        ceiling = len(root) + depth
+                        idx = PalIndex.of_word(word(root, q))
+                        got = list(_walk(idx, ceiling, canonical, std_first))
+                        want = _oracle_preorder(root, q, ceiling, canonical, std_first)
+                        assert got == want, (root, depth, canonical, std_first)
+                        assert _fields(idx) == _fields(PalIndex.of_word(word(root, q)))
+
+
+@pytest.mark.parametrize("q, top", [(2, 14), (3, 9)])
+def test_walk_streams_every_rich_word_in_candidate_order(q, top):
+    # From the empty word, so appended levels and the last level, tested
+    # without an append, are both walked. The want is the oracle's rich
+    # words sorted by the rank of each letter among its prefix's candidates.
+    words = oracles.rich_words(q, top)
+    for canonical in (False, True):
+        for std_first in (False, True):
+            ranks = {"": ()}
+            for s in words[1:]:  # shortest first, so the prefix is ranked
+                prefix, ch = s[:-1], s[-1]
+                order = _oracle_order(prefix, q, canonical, std_first)
+                if prefix in ranks and ch in order:
+                    ranks[s] = ranks[prefix] + (order.index(ch),)
+            want = sorted(ranks, key=ranks.get)[1:]
+            if not canonical:
+                assert len(want) == len(words) - 1
+            idx = PalIndex.of_word(word("", q))
+            assert list(_walk(idx, top, canonical, std_first)) == want
+            assert _fields(idx) == _fields(PalIndex.of_word(word("", q)))
+
+
+def test_no_letter_repeats_a_words_longest_palindromic_suffix():
+    # Why the walker's last level needs no edge for the child it does not
+    # append: a leaf that reached that edge would end in the child's
+    # longest palindromic suffix again, one letter later.
+    for q, top in ((2, 13), (3, 8)):
+        for s in oracles.rich_words(q, top)[1:]:
+            for ch in oracles.letters(q):
+                assert oracles.lps(s + ch) != oracles.lps(s), (s, ch)
+
+
+def test_walk_abandoned_midway_leaves_a_usable_index():
+    # Stopped after every word, the stream leaves ``idx`` a valid index of
+    # the word it holds (a prefix of the last word yielded); a fresh walk
+    # from there streams that word's subtree and then restores ``idx``, and
+    # so does a second one.
+    for q, top in ((2, 6), (3, 4)):
+        for canonical in (False, True):
+            for std_first in (False, True):
+                full = _oracle_preorder("", q, top, canonical, std_first)
+                for stop in range(1, len(full) + 1):
+                    idx = PalIndex.of_word(word("", q))
+                    stream = _walk(idx, top, canonical, std_first)
+                    assert [next(stream) for _ in range(stop)] == full[:stop]
+                    stream.close()
+                    held = idx.chars
+                    assert full[stop - 1].startswith(held), (full[stop - 1], held)
+                    assert _fields(idx) == _fields(PalIndex.of_word(word(held, q)))
+                    if not canonical or _is_canonical(held, q):
+                        want = _oracle_preorder(held, q, top, canonical, std_first)
+                        for _ in range(2):
+                            assert list(_walk(idx, top, canonical, std_first)) == want
+                            assert _fields(idx) == _fields(
+                                PalIndex.of_word(word(held, q))
+                            )
 
 
 def test_index_pop_restores_every_statistic():
