@@ -12,13 +12,13 @@ created a node, which is what makes the index the workhorse for richness
 testing, extension search, and the enumeration tree.
 
 Appends can be undone with ``pop``. ``_walk``, the one walker of the tree
-of rich words that enumeration and search share, walks it depth-first on
-one index without rebuilding: it tests a letter before appending it, and
-appends only a word that has grandchildren. ``extend`` and ``truncate`` edit
-many letters at a time, in one call: ``extend`` builds every
-index of a whole word, and ``truncate`` plus ``extend`` move an index from
-one word to the next across their common prefix; ``copy`` gives a caller an
-index of its own to move.
+of rich words that enumeration and search share, walks it depth-first and
+in display order on one index without rebuilding: it tests a letter before
+appending it, and appends only a word that has grandchildren. ``extend``
+and ``truncate`` edit many letters at a time, in one call: ``extend``
+builds every index of a whole word, and ``truncate`` plus ``extend`` move
+an index from one word to the next across their common prefix; ``copy``
+gives a caller an index of its own to move.
 
 A rich word keeps its analysis (``Word._pal``): its index and its flex
 scan (``_FlexScan``), built on first use by one loop, ``extend``, which
@@ -373,66 +373,47 @@ class PalIndex:
                 yield s[end - lens[node] : end]
 
 
-def _walk(
-    idx: PalIndex, max_length: int, canonical: bool = False, std_first: bool = False
-) -> Iterator[str]:
+def _walk(idx: PalIndex, max_length: int, canonical: bool = False) -> Iterator[str]:
     """Preorder stream of the strict descendants, up to ``max_length``, of
     the word held in ``idx``: the words that extend it letter by letter,
     each letter creating a palindrome.
 
     An explicit stack keeps one iterator over the node's candidate letters
     per level, so depth is bounded by memory, not by the interpreter's
-    recursion limit. Candidates come in display order; with ``canonical`` a
-    letter may not skip an unused one, and with ``std_first`` the standard
-    letter leads. A candidate is tested before any edit: it creates a
-    palindrome exactly when the node its suffix-link walk reaches has no
-    edge for it yet. A failed letter costs no edit, and neither does a
-    child without grandchildren: one at ``max_length`` is yielded alone,
-    and one a letter short of it is yielded and then its children are
-    tested against the node it would add, held in locals, and yielded in
-    turn. Only a child with grandchildren is appended, after it is
-    yielded, and popped once they are exhausted. So while a word is
-    yielded, ``idx`` holds its parent, or its grandparent for a leaf under
-    an unappended node. ``idx`` is walked in place and is back at its
-    starting word once the stream is exhausted.
+    recursion limit. Candidates come in display order for every caller, and
+    with ``canonical`` a letter may not skip an unused one. A candidate is
+    tested before any edit: it creates a palindrome exactly when the node
+    its suffix-link walk reaches has no edge for it yet. A failed letter
+    costs no edit, and neither does a child without grandchildren: one at
+    ``max_length`` is yielded alone, and one a letter short of it is
+    yielded and then its children are tested against the node it would
+    add, held in locals, and yielded in turn. Only a child with
+    grandchildren is appended, after it is yielded, and popped once they
+    are exhausted. So while a word is yielded, ``idx`` holds its parent, or
+    its grandparent for a leaf under an unappended node. ``idx`` is walked
+    in place and is back at its starting word once the stream is exhausted.
     """
     # The eertree step is inlined on the lists held in locals, split into a
     # read-only test and the edits of ``append``/``pop``: one ``append`` and
     # ``pop`` per candidate held superword-search at 2,746 items/s against
     # 4,176, and enumerate at 477 k against 648 k. Testing the last level
     # against locals, with no append and pop for the nodes above it, took
-    # enumerate from 632 k to 729 k (perfbench medians, 2 cores, Python
-    # 3.11).
+    # enumerate from 632 k to 729 k. One candidate order for every caller,
+    # with no per-node candidate rule, took superword-search from 5,386 to
+    # 6,655 (perfbench medians, 2 cores, Python 3.11).
     chars, lens, slink, trans = idx._chars, idx._len, idx._slink, idx._trans
     nodes, parents = idx._lps_node, idx._parent
     word = "".join(chars)
     if len(word) >= max_length:
         return
     letters = idx.alphabet.letters
-    plain = not (canonical or std_first)
-    k = len(set(word))  # letters used so far; only ``canonical`` reads it
-    used = [k]
-
-    def candidates(s: str, k: int, plen: int, link_len: int) -> str:
-        """The letters to try after ``s``, which uses ``k`` letters and whose
-        longest palindromic suffix and that one's suffix link have lengths
-        ``plen`` and ``link_len``."""
-        out = letters[: k + 1] if canonical else letters
-        if std_first and s:
-            # the standard letter precedes the longest proper palindromic
-            # suffix; it occurs in the word, so it is a candidate
-            if plen == len(s):
-                plen = link_len
-            std = s[len(s) - plen - 1]
-            out = std + out.replace(std, "")
-        return out
-
     top = nodes[-1] if nodes else 1  # the node of the word's longest palindromic suffix
     # one iterator per level, so idx holds the root and len(stack) - 1 letters
-    if plain:
-        stack = [iter(letters)]
+    if canonical:
+        used = [len(set(word))]  # letters used so far, per level
+        stack = [iter(letters[: used[0] + 1])]
     else:
-        stack = [iter(candidates(word, k, lens[top], lens[slink[top]]))]
+        stack = [iter(letters)]
     while stack:
         ch = next(stack[-1], "")
         if not ch:
@@ -475,11 +456,13 @@ def _walk(
                     break
                 y = slink[y]
             sl = trans[y][ch]
+        # the child's candidates, shared by the appended level and the leaves
+        out = letters
         if canonical:
             k = used[-1]
             if k < len(letters) and ch == letters[k]:
                 k += 1
-        out = letters if plain else candidates(child, k, new_len, lens[sl])
+            out = letters[: k + 1]
         if n + 2 == max_length:
             # The child's children are leaves: each is tested against the
             # node the child's append would add (length new_len, suffix link

@@ -11,10 +11,11 @@ an explicit stack, so walks are as deep as memory allows.
 
 The common-superword search asks: is there a rich word containing two given
 rich words as factors? It walks the same tree with iterative deepening on
-length, serially. A node counts as a hit when it contains each target up to
-reversal; one palindromic closure then restores requested orientations,
-since the closure is a palindrome containing the node as a prefix (and hence
-every reversed factor too). The search is budget-bounded: running out of
+length, serially, each round in the display order enumeration uses. A
+node counts as a hit when it contains each target up to reversal; one
+palindromic closure then restores requested orientations, since the
+closure is a palindrome containing the node as a prefix (and hence every
+reversed factor too). The search is budget-bounded: running out of
 budget means "not decided", never "no".
 
 Its node count covers every node of every round. A round shorter than the
@@ -235,8 +236,8 @@ def find_common_superword(
 ) -> SearchVerdict:
     """Look for a rich word containing both ``w1`` and ``w2`` as factors.
 
-    Iterative deepening over the rich-extension tree, preferring the
-    standard-extension child at each node; a node hits when it contains each
+    Iterative deepening over the rich-extension tree, each round walked in
+    display order as enumeration walks it; a node hits when it contains each
     target up to reversal, and one palindromic closure then fixes
     orientation (so a returned witness may be longer than the length
     budget). Every witness is re-validated before being returned. The
@@ -280,7 +281,7 @@ def find_common_superword(
         # the counted rounds spent the budget: no walker is built
         return SearchVerdict(SearchStatus.EXHAUSTED, None, explored, budget)
     for limit in range(max(first, short), budget.max_length + 1):
-        for chars in _walk(PalIndex(w1.alphabet), limit, std_first=True):
+        for chars in _walk(PalIndex(w1.alphabet), limit):
             if explored >= budget.max_nodes:
                 return SearchVerdict(SearchStatus.EXHAUSTED, None, explored, budget)
             explored += 1

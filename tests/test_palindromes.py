@@ -427,29 +427,23 @@ def _index_state(idx):
     )
 
 
-def _oracle_order(s, q, canonical, std_first):
-    """The letters the walker tries after ``s``, in its order, from the
-    naive standard letter."""
+def _oracle_order(s, q, canonical):
+    """The letters the walker tries after ``s``, in its order."""
     letters = oracles.letters(q)
-    if canonical:
-        letters = letters[: len(set(s)) + 1]
-    if std_first and s:
-        std = oracles.std_letter(s)
-        letters = std + letters.replace(std, "")
-    return letters
+    return letters[: len(set(s)) + 1] if canonical else letters
 
 
-def _oracle_preorder(root, q, max_length, canonical, std_first):
+def _oracle_preorder(root, q, max_length, canonical):
     """The strict descendants of ``root`` up to ``max_length``, in the
-    walker's order, from the naive rich letters and standard letter."""
+    walker's order, from the naive rich letters."""
     out = []
     if len(root) >= max_length:
         return out
     rich = oracles.rich_letters(root, q)
-    for ch in _oracle_order(root, q, canonical, std_first):
+    for ch in _oracle_order(root, q, canonical):
         if ch in rich:
             out.append(root + ch)
-            out += _oracle_preorder(root + ch, q, max_length, canonical, std_first)
+            out += _oracle_preorder(root + ch, q, max_length, canonical)
     return out
 
 
@@ -460,20 +454,19 @@ def _is_canonical(s, q):
 
 def test_walk_matches_oracle_preorder_from_every_rich_root():
     # Nonempty roots, letters that fail, and leaves yielded without being
-    # appended, under every combination of options. A root one letter short
+    # appended, with and without ``canonical``. A root one letter short
     # of the ceiling has only leaves below it; one two letters short has
     # children whose own children are tested without an append.
     for q, top in ((2, 7), (3, 4)):
         for root in oracles.rich_words(q, top):
             for canonical in (False, True) if _is_canonical(root, q) else (False,):
-                for std_first in (False, True):
-                    for depth in (1, 2, 3):
-                        ceiling = len(root) + depth
-                        idx = PalIndex.of_word(word(root, q))
-                        got = list(_walk(idx, ceiling, canonical, std_first))
-                        want = _oracle_preorder(root, q, ceiling, canonical, std_first)
-                        assert got == want, (root, depth, canonical, std_first)
-                        assert _fields(idx) == _fields(PalIndex.of_word(word(root, q)))
+                for depth in (1, 2, 3):
+                    ceiling = len(root) + depth
+                    idx = PalIndex.of_word(word(root, q))
+                    got = list(_walk(idx, ceiling, canonical))
+                    want = _oracle_preorder(root, q, ceiling, canonical)
+                    assert got == want, (root, depth, canonical)
+                    assert _fields(idx) == _fields(PalIndex.of_word(word(root, q)))
 
 
 @pytest.mark.parametrize("q, top", [(2, 14), (3, 9)])
@@ -483,19 +476,18 @@ def test_walk_streams_every_rich_word_in_candidate_order(q, top):
     # words sorted by the rank of each letter among its prefix's candidates.
     words = oracles.rich_words(q, top)
     for canonical in (False, True):
-        for std_first in (False, True):
-            ranks = {"": ()}
-            for s in words[1:]:  # shortest first, so the prefix is ranked
-                prefix, ch = s[:-1], s[-1]
-                order = _oracle_order(prefix, q, canonical, std_first)
-                if prefix in ranks and ch in order:
-                    ranks[s] = ranks[prefix] + (order.index(ch),)
-            want = sorted(ranks, key=ranks.get)[1:]
-            if not canonical:
-                assert len(want) == len(words) - 1
-            idx = PalIndex.of_word(word("", q))
-            assert list(_walk(idx, top, canonical, std_first)) == want
-            assert _fields(idx) == _fields(PalIndex.of_word(word("", q)))
+        ranks = {"": ()}
+        for s in words[1:]:  # shortest first, so the prefix is ranked
+            prefix, ch = s[:-1], s[-1]
+            order = _oracle_order(prefix, q, canonical)
+            if prefix in ranks and ch in order:
+                ranks[s] = ranks[prefix] + (order.index(ch),)
+        want = sorted(ranks, key=ranks.get)[1:]
+        if not canonical:
+            assert len(want) == len(words) - 1
+        idx = PalIndex.of_word(word("", q))
+        assert list(_walk(idx, top, canonical)) == want
+        assert _fields(idx) == _fields(PalIndex.of_word(word("", q)))
 
 
 def test_no_letter_repeats_a_words_longest_palindromic_suffix():
@@ -515,23 +507,20 @@ def test_walk_abandoned_midway_leaves_a_usable_index():
     # so does a second one.
     for q, top in ((2, 6), (3, 4)):
         for canonical in (False, True):
-            for std_first in (False, True):
-                full = _oracle_preorder("", q, top, canonical, std_first)
-                for stop in range(1, len(full) + 1):
-                    idx = PalIndex.of_word(word("", q))
-                    stream = _walk(idx, top, canonical, std_first)
-                    assert [next(stream) for _ in range(stop)] == full[:stop]
-                    stream.close()
-                    held = idx.chars
-                    assert full[stop - 1].startswith(held), (full[stop - 1], held)
-                    assert _fields(idx) == _fields(PalIndex.of_word(word(held, q)))
-                    if not canonical or _is_canonical(held, q):
-                        want = _oracle_preorder(held, q, top, canonical, std_first)
-                        for _ in range(2):
-                            assert list(_walk(idx, top, canonical, std_first)) == want
-                            assert _fields(idx) == _fields(
-                                PalIndex.of_word(word(held, q))
-                            )
+            full = _oracle_preorder("", q, top, canonical)
+            for stop in range(1, len(full) + 1):
+                idx = PalIndex.of_word(word("", q))
+                stream = _walk(idx, top, canonical)
+                assert [next(stream) for _ in range(stop)] == full[:stop]
+                stream.close()
+                held = idx.chars
+                assert full[stop - 1].startswith(held), (full[stop - 1], held)
+                assert _fields(idx) == _fields(PalIndex.of_word(word(held, q)))
+                if not canonical or _is_canonical(held, q):
+                    want = _oracle_preorder(held, q, top, canonical)
+                    for _ in range(2):
+                        assert list(_walk(idx, top, canonical)) == want
+                        assert _fields(idx) == _fields(PalIndex.of_word(word(held, q)))
 
 
 def test_index_pop_restores_every_statistic():

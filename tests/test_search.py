@@ -169,7 +169,7 @@ def test_search_self_pair():
     v = find_common_superword(w, w)
     assert v.status is SearchStatus.WITNESS
     assert v.witness.chars == "0101"
-    assert v.explored == 11
+    assert v.explored == 12
 
 
 def test_search_budget_exhaustion_is_honest():
@@ -225,6 +225,29 @@ def test_search_witnesses_are_valid_on_pair_sweep(rich2):
     assert hits + misses == len(targets) ** 2
 
 
+def test_search_agrees_with_oracle_on_ternary_pairs(rich3):
+    # Every ordered pair of nonempty ternary words of 1-3 letters (all rich),
+    # within |a| + |b| letters: a witness exactly when some rich word that
+    # long holds each target up to reversal, and then both literally.
+    targets = [s for s in rich3 if 1 <= len(s) <= 3]
+    assert len(targets) == 39
+    witnesses = 0
+    for a in targets:
+        for b in targets:
+            top = len(a) + len(b)
+            exists = any(
+                (a in s or a[::-1] in s) and (b in s or b[::-1] in s)
+                for s in rich3 if len(s) <= top
+            )
+            v = find_common_superword(word(a, 3), word(b, 3), SearchBudget(top))
+            assert (v.status is SearchStatus.WITNESS) == exists, (a, b)
+            if exists:
+                witnesses += 1
+                w = v.witness
+                assert is_rich(w) and a in w.chars and b in w.chars, (a, b, w.chars)
+    assert witnesses == 1_395
+
+
 def test_search_input_validation(rich2):
     with pytest.raises(AlphabetMismatch):
         find_common_superword(word("00"), word("11"))
@@ -266,7 +289,7 @@ def _walked_search(w1, w2, budget=None):
         return SearchVerdict(SearchStatus.WITNESS, base, 0, budget)
     explored = 0
     for limit in range(max(len(p1), len(p2), 1), budget.max_length + 1):
-        for chars in search._walk(PalIndex(w1.alphabet), limit, std_first=True):
+        for chars in search._walk(PalIndex(w1.alphabet), limit):
             if explored >= budget.max_nodes:
                 return SearchVerdict(SearchStatus.EXHAUSTED, None, explored, budget)
             explored += 1
