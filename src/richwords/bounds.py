@@ -72,6 +72,7 @@ def ensure_printable(digits: int) -> None:
 
     Formatting entry points call this before rendering exact bound values,
     which can run to tens of thousands of digits while staying legitimate.
+    Past the largest guard the interpreter takes, it sets 0: no limit.
     """
     _require_int(digits, "digits", lo=0)
     get = getattr(sys, "get_int_max_str_digits", None)
@@ -79,7 +80,10 @@ def ensure_printable(digits: int) -> None:
         return
     current = get()
     if current != 0 and current < digits + 2:
-        sys.set_int_max_str_digits(digits + 2)
+        try:
+            sys.set_int_max_str_digits(digits + 2)
+        except OverflowError:
+            sys.set_int_max_str_digits(0)
 
 
 def pal_complexity_bound(length: int, alphabet_size: int) -> int:

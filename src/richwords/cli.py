@@ -202,8 +202,8 @@ def _cmd_reduce(args, w: Word, r: Word) -> _Output:
     "remove all flexed palindromes longer than the markers",
     {
         "word": {},
-        "start": dict(help="prefix marker to keep"),
-        "end": dict(help="suffix marker to keep"),
+        "start": dict(help="marker the word begins with, up to reversal"),
+        "end": dict(help="marker the word ends with, up to reversal"),
     },
     {"--trace": dict(action="store_true", help="emit the full run trace")},
 )

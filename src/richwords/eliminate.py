@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInconsistency, NotRich, PreconditionViolation, _require_int
+from .errors import InternalInconsistency, PreconditionViolation, _require_int
 from .palindromes import PalIndex, _analysis, _keep, _move, _owned
 from .reduction import ReductionTrace, _pick_reducible, _rewrite
 from .words import Word, _Record, occ_str
@@ -118,27 +118,11 @@ def _marked_span(s: str, p1: str, p2: str) -> tuple[int, int]:
     return i, i + length
 
 
-def shortest_marked_factor(w: Word, start: Word, end: Word) -> Word:
-    """The first factor of ``w`` carrying both markers reverse-unioccurrently.
-
-    Candidates must begin with ``start`` or its reverse, end with ``end`` or
-    its reverse, and contain each marker (orientations pooled) exactly once;
-    ties are broken by length ascending, then start position ascending. The
-    word itself must begin and end with the respective markers up to
-    reversal. Factors of a rich word are rich, so the result is rich; so are
-    the markers once the word is known to be rich and to carry them, which
-    is why only the word's richness is checked. A window that is the whole
-    word is ``w`` itself, with the analysis the check kept on it for the
-    ``eliminate`` that usually follows.
-    """
-    if len(start.chars) == 0 or len(end.chars) == 0:
+def _check_markers(s: str, p1: str, p2: str) -> None:
+    """The marker rule of the public calls: both markers are nonempty, and
+    ``s`` begins with ``p1`` and ends with ``p2``, each up to reversal."""
+    if not p1 or not p2:
         raise PreconditionViolation("markers must be nonempty")
-    try:
-        _analysis(w)
-    except NotRich:
-        raise PreconditionViolation(f"word {w.chars!r} is not rich") from None
-    s = w.chars
-    p1, p2 = start.chars, end.chars
     if not (s.startswith(p1) or s.startswith(p1[::-1])):
         raise PreconditionViolation(
             f"{s!r} does not begin with the start marker {p1!r} or its reverse"
@@ -147,6 +131,24 @@ def shortest_marked_factor(w: Word, start: Word, end: Word) -> Word:
         raise PreconditionViolation(
             f"{s!r} does not end with the end marker {p2!r} or its reverse"
         )
+
+
+def shortest_marked_factor(w: Word, start: Word, end: Word) -> Word:
+    """The first factor of ``w`` carrying both markers reverse-unioccurrently.
+
+    Candidates must begin with ``start`` or its reverse, end with ``end`` or
+    its reverse, and contain each marker (orientations pooled) exactly once;
+    ties are broken by length ascending, then start position ascending. The
+    markers must be nonempty and at the word's ends up to reversal, checked
+    before the word's richness. Factors of a rich word are rich, so the
+    result is rich; so are the markers once the word is known to be rich
+    and to carry them, which is why only the word's richness is checked. A
+    window that is the whole word is ``w`` itself, with the analysis the
+    check kept on it for the ``eliminate`` that usually follows.
+    """
+    s, p1, p2 = w.chars, start.chars, end.chars
+    _check_markers(s, p1, p2)
+    _analysis(w)
     i, j = _marked_span(s, p1, p2)
     return w if j - i == len(s) else w[i:j]
 
@@ -190,25 +192,16 @@ def _trim(
 def eliminate(w: Word, start: Word, end: Word) -> tuple[Word, EliminationTrace]:
     """Rewrite away every reducible flexed palindrome longer than the markers.
 
-    Requires ``start`` to be a prefix and ``end`` a suffix of the rich word
-    ``w`` (so both are rich, as factors of a rich word). Loops: trim to the
+    Takes the markers as ``shortest_marked_factor`` does, at the ends of the
+    rich word ``w`` up to reversal (so both are rich). Loops: trim to the
     shortest reverse-unioccurrent factor, then while some flexed palindrome
     longer than max(|start|, |end|) is reducible, rewrite it away and
     re-trim. The loop count is capped by the total number of
     flexed-palindrome occurrences in the input.
     """
-    if len(start.chars) == 0 or len(end.chars) == 0:
-        raise PreconditionViolation("markers must be nonempty")
-    idx, w_scan = _owned(w)
     s = w.chars
-    if not s.startswith(start.chars):
-        raise PreconditionViolation(
-            f"start marker {start.chars!r} is not a prefix of {s!r}"
-        )
-    if not s.endswith(end.chars):
-        raise PreconditionViolation(
-            f"end marker {end.chars!r} is not a suffix of {s!r}"
-        )
+    _check_markers(s, start.chars, end.chars)
+    idx, w_scan = _owned(w)
     m = max(len(start.chars), len(end.chars))
     # Every flexed palindrome of the input occurs in it, so the cap is at
     # least len(w_scan); it is summed only once the loop gets past that.

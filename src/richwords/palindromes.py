@@ -120,8 +120,6 @@ class PalIndex:
         nodes = self._lps_node
         x = nodes[-1] if nodes else 1
         chars.append(ch)
-        # Both suffix-link walks stay inline: one shared helper method cost
-        # 6-9 % of long-elimination throughput and 3-8 % of corpus-sweep.
         # ``ch`` is appended first, so the root of length -1 always matches
         # (j = n) and the walks need no root test.
         n = len(chars) - 1
@@ -251,9 +249,8 @@ class PalIndex:
     def truncate(self, k: int) -> None:
         """Undo appends down to the length-k prefix, 0 <= k <= len: the state
         that len - k pops leave, in one call."""
+        self._prefix(k, 0)
         chars = self._chars
-        if not (isinstance(k, int) and 0 <= k <= len(chars)):
-            raise self._bad_prefix(k, 0)
         parents = self._parent
         trans = self._trans
         cut_parents = parents[k:]
@@ -297,35 +294,33 @@ class PalIndex:
         """
         return len(self._len) - 2 == len(self._chars)
 
-    def _bad_prefix(self, k: int, lo: int) -> LengthViolation:
-        return LengthViolation(
+    def _prefix(self, k: int, lo: int) -> int:
+        """``k``, when it is an ``int`` prefix length in lo..len (lo is 0 or
+        1); anything else raises ``LengthViolation``."""
+        if isinstance(k, int) and lo <= k <= len(self._chars):
+            return k
+        raise LengthViolation(
             f"prefix length must be in {lo}..{len(self._chars)}, got {k}"
         )
 
     def lps_length(self, k: int) -> int:
         """Length of the longest palindromic suffix of the length-k prefix,
         0 <= k <= len."""
-        if not (isinstance(k, int) and 0 <= k <= len(self._chars)):
-            raise self._bad_prefix(k, 0)
-        if k == 0:
+        if self._prefix(k, 0) == 0:
             return 0
         return self._len[self._lps_node[k - 1]]
 
     def lps_is_new(self, k: int) -> bool:
         """Whether the lps of the length-k prefix occurs there for the first
         time, 1 <= k <= len."""
-        if not (isinstance(k, int) and 0 < k <= len(self._chars)):
-            raise self._bad_prefix(k, 1)
-        return self._parent[k - 1] >= 0
+        return self._parent[self._prefix(k, 1) - 1] >= 0
 
     def lpps_length(self, k: int) -> int:
         """Length of the longest proper palindromic suffix of the length-k prefix.
 
         Defined here for every 1 <= k <= len, with value 0 for a single letter.
         """
-        if not (isinstance(k, int) and 0 < k <= len(self._chars)):
-            raise self._bad_prefix(k, 1)
-        node = self._lps_node[k - 1]
+        node = self._lps_node[self._prefix(k, 1) - 1]
         length = self._len[node]
         if length < k:
             return length
@@ -345,10 +340,7 @@ class PalIndex:
         """Length of the longest palindromic prefix of the length-k prefix,
         0 <= k <= len; by default of the current word."""
         nodes = self._lps_node
-        if k is None:
-            k = len(nodes)
-        elif not (isinstance(k, int) and 0 <= k <= len(nodes)):
-            raise self._bad_prefix(k, 0)
+        k = len(nodes) if k is None else self._prefix(k, 0)
         lens = self._len
         for j in range(k, 0, -1):
             if lens[nodes[j - 1]] == j:

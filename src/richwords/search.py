@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from .errors import AlphabetMismatch, InternalInconsistency, NotRich, _require_int
+from .errors import InternalInconsistency, NotRich, _require_int
 from .palindromes import PalIndex, _index, _walk, is_rich, pal_closure
-from .words import Alphabet, Word, _Record
+from .words import Alphabet, Word, _Record, _check_same_alphabet
 
 __all__ = [
     "DEFAULT_MAX_NODES",
@@ -67,9 +67,10 @@ DEFAULT_MAX_NODES = 1_000_000
 
 @dataclass(frozen=True)
 class SearchBudget(_Record):
-    """Hard limits for the superword search: longest word tried and total
-    tree nodes visited across all deepening rounds. ``max_length=None``
-    means |w1| + |w2|, filled in before the verdict records the budget."""
+    """Limits for the superword search: the longest word walked (the closure
+    that orients a hit can make the witness longer) and the total tree nodes
+    visited across all deepening rounds. ``max_length=None`` means
+    |w1| + |w2|, filled in before the verdict records the budget."""
 
     max_length: int | None = None
     max_nodes: int = DEFAULT_MAX_NODES
@@ -253,10 +254,7 @@ def find_common_superword(
     for w in (w1, w2):
         if not is_rich(w):
             raise NotRich(f"{w.chars!r} is not rich")
-    if w1.alphabet != w2.alphabet:
-        raise AlphabetMismatch(
-            f"targets use different alphabets: {w1.alphabet!r} vs {w2.alphabet!r}"
-        )
+    _check_same_alphabet(w1, w2)
     if budget is None:
         budget = SearchBudget()
     if budget.max_length is None:

@@ -149,11 +149,7 @@ class Word:
 
     def __add__(self, other) -> "Word":
         if isinstance(other, Word):
-            if other.alphabet.size != self.alphabet.size:
-                raise AlphabetMismatch(
-                    f"cannot concatenate words over alphabets of size "
-                    f"{self.alphabet.size} and {other.alphabet.size}"
-                )
+            _check_same_alphabet(self, other)
             return self._wrap(self.chars + other.chars)
         if isinstance(other, str):
             return Word(self.chars + other, self.alphabet)

@@ -9,6 +9,8 @@ filter at overlapping sizes.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 import oracles
@@ -40,3 +42,15 @@ def corpus3():
     from richwords import EnumConfig, enumerate_rich
 
     return [w.chars for w in enumerate_rich(EnumConfig(3, 12))]
+
+
+@pytest.fixture
+def str_guard():
+    """The interpreter's int-to-str digit guard reader, the guard restored
+    after the test; skips where the interpreter has no guard."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        pytest.skip("this interpreter has no int-to-str digit guard")
+    saved = get()
+    yield get
+    sys.set_int_max_str_digits(saved)

@@ -107,6 +107,16 @@ def test_ensure_printable_lifts_the_str_guard():
         assert get() >= 10_003
 
 
+@pytest.mark.parametrize("digits", [2**31 - 3, 2**31, 10**20])
+def test_ensure_printable_lifts_the_guard_as_far_as_the_interpreter_allows(
+    digits, str_guard
+):
+    # the guard is a C int: a count past 2**31 - 3 lifts it altogether (0)
+    sys.set_int_max_str_digits(4300)
+    ensure_printable(digits)
+    assert str_guard() == (2**31 - 1 if digits == 2**31 - 3 else 0)
+
+
 # -- bound reports -----------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: every subcommand, formats, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -11,6 +12,8 @@ from richwords.cli import build_parser, main
 W1 = "123999322399932442399932255223993"
 W2 = "123999599932239949"
 WF = "110101100110011"
+# a 67-letter rich word framed by the fresh letters 2 and 3
+FRAMED = "2010110000001101011010101011010101111010101101101101101010111110103"
 
 
 def run(capsys, *argv):
@@ -265,6 +268,17 @@ def test_bound_over_cap_uses_log_form(capsys):
     code, _, err = run(capsys, "bound", "--m", "4", "--q", "2", "--exact")
     assert code == 1
     assert "error:" in err and "digits" in err
+
+
+@pytest.mark.parametrize("cap", [2**31 - 3, 2**31, 10**20])
+def test_bound_digit_cap_past_the_str_guard(cap, capsys, str_guard):
+    # the guard cannot be set past 2**31 - 1: it is lifted altogether
+    _, default, _ = run(capsys, "bound", "--m", "1", "--q", "2")
+    assert run(capsys, "bound", "--m", "1", "--q", "2", "--digit-cap", str(cap)) == (
+        0,
+        default,
+        "",
+    )
 
 
 def test_bound_json(capsys):
@@ -538,6 +552,47 @@ PINNED = [
     pytest.param(
         ["bound", "--format", "json", "--m", "2", "--q", "2"], _bound_m2_q2, id="bound-json"
     ),
+    # the tree walk: binary rich words up to 8 letters
+    pytest.param(
+        ["enumerate", "--q", "2", "--max-length", "8", "--count"],
+        "0,1\n1,2\n2,4\n3,8\n4,16\n5,32\n6,64\n7,128\n8,252\n",
+        id="enumerate-count-binary-8",
+    ),
+    # canonical ternary words up to 10 letters: the last level's candidates
+    # are cut to the letters used so far, plus one
+    pytest.param(
+        ["enumerate", "--q", "3", "--max-length", "10", "--canonical", "--count"],
+        "0,1\n1,1\n2,2\n3,5\n4,13\n5,34\n6,86\n7,212\n8,506\n9,1175\n10,2651\n",
+        id="enumerate-count-canonical-ternary-10",
+    ),
+    # a 28-letter witness within a 20-letter budget: the palindromic closure
+    # that orients the hit lengthens it
+    pytest.param(
+        ["search", "--q", "2", "0010010001", "1101101110"],
+        "witness 0010010001110110111000100100\n",
+        id="search-closed-witness",
+    ),
+    # the node count fixes the walk order: each round in display order
+    pytest.param(
+        ["search", "--q", "2", "0010010001", "1101101110", "--format", "json"],
+        '{"status": "witness", "witness": "0010010001110110111000100100", '
+        '"explored": 333121, "budget": {"max_length": 20, "max_nodes": 1000000}}\n',
+        id="search-closed-witness-json",
+    ),
+    # the first trim cuts 001112 to 01112, then one rewrite follows
+    pytest.param(["eliminate", "001112", "0", "2"], "0112\n", id="eliminate-trim-then-rewrite"),
+    # 12 passes, in both rewrite cases
+    pytest.param(["eliminate", FRAMED, "2", "3"], "20103\n", id="eliminate-framed"),
+    # standard extensions: the palindromic closure cut to its period, repeated
+    pytest.param(
+        ["extend", "0110100", "--steps", "20"],
+        "011010010110100101101001011\n",
+        id="extend-period",
+    ),
+    # a period of 4, longer than the word, three times
+    pytest.param(["extend", "012", "--steps", "9"], "012101210121\n", id="extend-long-period"),
+    # a palindrome: the period is cut by its longest proper palindromic prefix
+    pytest.param(["extend", "010", "--steps", "7"], "0101010101\n", id="extend-palindrome"),
 ]
 
 
@@ -548,6 +603,46 @@ def test_pinned_stdout(argv, expected, tmp_path, capsys):
     argv = [str(path) if a is WORDS_FILE else a for a in argv]
     result = run(capsys, *argv)
     assert result == (0, expected() if callable(expected) else expected, "")
+
+
+# Output too long to spell out, pinned by the sha256 of its bytes.
+DIGESTS = [
+    # every pass of the framed word's elimination
+    pytest.param(
+        ["eliminate", "--trace", FRAMED, "2", "3"],
+        "75f34cb9b134d8cf02ec2f48fea449ceb37e7e8decfb1fb197e89cb681363521",
+        id="eliminate-framed-trace",
+    ),
+    # the binary m = 2 bounds: two exact integers of 29,594 digits each
+    pytest.param(
+        ["bound", "--m", "2", "--q", "2"],
+        "f1b4a2ca1ef6cb38e6b635c63ffac4d39e5d552699b9c0a94b5daef8751bbbee",
+        id="bound-m2-q2",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", DIGESTS)
+def test_pinned_stdout_digest(argv, digest, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
+
+
+# Domain rejections: exit status 1, one error line and no output.
+REJECTED = [
+    pytest.param(["gamma", W1, "999"], id="gamma-not-maximal"),
+    pytest.param(["bound", "--m", "2", "--q", "2", "--digit-cap", "0"], id="bound-digit-cap-0"),
+    pytest.param(
+        ["enumerate", "--q", "2", "--max-length", "3", "--workers", "0"], id="enumerate-workers-0"
+    ),
+]
+
+
+@pytest.mark.parametrize("argv", REJECTED)
+def test_domain_rejection_exits_1(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- hostile input ---------------------------------------------------------------------

@@ -219,7 +219,7 @@ def test_shortest_marked_factor_precondition_errors():
     with pytest.raises(PreconditionViolation):
         shortest_marked_factor(word("010", 2), word("0", 2), word("1", 2))
     bad = next(s for s in oracles.all_words(2, 8) if not oracles.is_rich(s))
-    with pytest.raises(PreconditionViolation):
+    with pytest.raises(NotRich):
         shortest_marked_factor(word(bad, 2), word(bad[:1], 2), word(bad[-1:], 2))
     # A rich word cannot begin or end with a non-rich marker.
     with pytest.raises(PreconditionViolation, match="does not begin with"):
@@ -343,12 +343,49 @@ def test_eliminate_precondition_errors():
         eliminate(word(bad, 2), word(bad[:1], 2), word(bad[-1:], 2))
     with pytest.raises(PreconditionViolation):
         eliminate(word("00", 2), word("0", 2), word("00", 2))
+    # the marker rule is checked before the word's richness
+    other = "1" if bad.endswith("0") else "0"
+    for call in (shortest_marked_factor, eliminate):
+        with pytest.raises(PreconditionViolation, match="does not end with"):
+            call(word(bad, 2), word(bad[:1], 2), word(other, 2))
 
 
 def test_eliminate_rejects_empty_markers():
     for start, end in (("", ""), ("0", ""), ("", "0")):
         with pytest.raises(PreconditionViolation, match="markers must be nonempty"):
             eliminate(word("010", 2), word(start, 2), word(end, 2))
+
+
+def test_eliminate_takes_markers_up_to_reversal(rich2):
+    # The referee for markers a word carries reversed at its ends: eliminate
+    # equals trimming to the marked window, turning each marker to the
+    # window's orientation, and eliminating there, or fails as the trim does.
+    words = [(s, 2) for s in rich2] + [(s, 3) for s in oracles.rich_words(3, 7)]
+    runs = reversed_runs = 0
+    for s, q in words:
+        w = word(s, q)
+        for a in range(1, min(3, len(s)) + 1):
+            for b in range(1, min(3, len(s)) + 1):
+                for p1 in dict.fromkeys((s[:a], s[:a][::-1])):
+                    for p2 in dict.fromkeys((s[-b:], s[-b:][::-1])):
+                        start, end = word(p1, q), word(p2, q)
+                        try:
+                            win = shortest_marked_factor(w, start, end).chars
+                        except PreconditionViolation as exc:
+                            with pytest.raises(PreconditionViolation) as got:
+                                eliminate(w, start, end)
+                            assert str(got.value) == str(exc)
+                            continue
+                        p1w = p1 if win.startswith(p1) else p1[::-1]
+                        p2w = p2 if win.endswith(p2) else p2[::-1]
+                        want = eliminate(word(win, q), word(p1w, q), word(p2w, q))[1]
+                        got = eliminate(w, start, end)[1]
+                        assert (got.initial, got.steps, got.final, got.iterations) == (
+                            want.initial, want.steps, want.final, want.iterations
+                        ), (s, p1, p2)
+                        runs += 1
+                        reversed_runs += not (s.startswith(p1) and s.endswith(p2))
+    assert (runs, reversed_runs) == (58_876, 29_194)
 
 
 def test_eliminate_loop_invariants_on_corpus(rich2):

@@ -91,6 +91,19 @@ def test_parallel_enumeration_same_set():
     assert seq == par
 
 
+@pytest.mark.parametrize("canonical", [False, True])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_parallel_enumeration_to_the_split_depth_is_the_serial_stream(
+    q, canonical, monkeypatch
+):
+    # every word up to 2 letters is above the split depth: no pool is started
+    monkeypatch.setattr(multiprocessing, "Pool", lambda *a, **k: pytest.fail("pool started"))
+    for n in range(3):
+        config = EnumConfig(q, n, canonical)
+        serial = [w.chars for w in enumerate_rich(config)]
+        assert [w.chars for w in enumerate_rich(config, workers=2)] == serial
+
+
 @pytest.mark.parametrize(
     "workers, cores, expected",
     [(500, 64, 4), (500, 3, 3), (2, 2, 2), (3, 64, 3), (500, None, 1)],
@@ -249,7 +262,7 @@ def test_search_agrees_with_oracle_on_ternary_pairs(rich3):
 
 
 def test_search_input_validation(rich2):
-    with pytest.raises(AlphabetMismatch):
+    with pytest.raises(AlphabetMismatch, match="^words over alphabets of size 1 and 2$"):
         find_common_superword(word("00"), word("11"))
     bad = next(s for s in oracles.all_words(2, 8) if not oracles.is_rich(s))
     with pytest.raises(NotRich):

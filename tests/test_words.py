@@ -114,7 +114,11 @@ def test_word_behaves_like_a_sequence():
     assert w[1:3].chars == "11"
     assert (w + w).chars == "01100110"
     assert word("11", 2) in w
+    assert "01" in w and "00" not in w
+    assert str(w) == "0110"
     assert list(w) == ["0", "1", "1", "0"]
+    with pytest.raises(TypeError):
+        w + 1
 
 
 def test_word_equality_is_content_only():
@@ -124,10 +128,10 @@ def test_word_equality_is_content_only():
 
 
 def test_cross_alphabet_operations_require_matching_sizes():
-    with pytest.raises(AlphabetMismatch):
-        word("01", 2) + word("01", 3)
-    with pytest.raises(AlphabetMismatch):
-        lcp(word("01", 2), word("01", 3))
+    # one check, one message, for every operation on a pair of words
+    for call in (Word.__add__, lcp, lcs):
+        with pytest.raises(AlphabetMismatch, match="^words over alphabets of size 2 and 3$"):
+            call(word("01", 2), word("01", 3))
 
 
 # -- reversal and trims ----------------------------------------------------
