@@ -163,15 +163,14 @@ def superword_length_bound(
     _require_int(digit_cap, "digit cap")
     m, q = marker_length, alphabet_size
 
-    k = flex_count_bound(m, q)
-    log10_k_real = (
-        math.log10(q + 1)
-        + 2 * math.log10(m)
-        + math.log2(m) * math.log10(4 * q**10 * m)
-    )
-    log10_total = _log10_pow2(k + 2, m)
+    def log10_k(exponent: float) -> float:
+        return (
+            math.log10(q + 1)
+            + 2 * math.log10(m)
+            + exponent * math.log10(4 * q**10 * m)
+        )
 
-    def materialize(value: int, digits: int, label: str) -> int | None:
+    def materialize(value: int | None, digits: int, label: str) -> int | None:
         if digits <= digit_cap:
             return value
         if require_exact:
@@ -180,7 +179,18 @@ def superword_length_bound(
             )
         return None
 
-    k_exact = materialize(k, digit_count(k), "flex bound")
+    log10_k_real = log10_k(math.log2(m))
+    # The exact flex bound's log10, from floats. Past max(cap, 310) + 1 its
+    # digits exceed the cap and k + 2 overflows a float: the report is the
+    # same without building k, which for m = 10**2000 takes seconds.
+    log10_k_ceil = log10_k(_ceil_log2(m))
+    if log10_k_ceil < max(digit_cap, 310) + 1:
+        k = flex_count_bound(m, q)
+        k_exact = materialize(k, digit_count(k), "flex bound")
+        log10_total = _log10_pow2(k + 2, m)
+    else:
+        k_exact = materialize(None, int(log10_k_ceil) + 1, "flex bound")
+        log10_total = math.inf
     # Predict the length bound's digit count before shifting 2^(k+2): the
     # shift itself is infeasible whenever the result would not fit the cap.
     if log10_total < digit_cap + 2:

@@ -288,9 +288,15 @@ def _cmd_enumerate(args) -> _Output:
     )
     stream = enumerate_rich(config, workers=args.workers)
     if args.count:
-        counts = [0] * (args.max_length + 1)
+        # Each word of length n > 0 comes after its prefix of length n - 1
+        # (preorder, in the shallow part or the same subtree): counts grows
+        # as lengths arrive, never to the ceiling's size up front.
+        counts = []
         for w in stream:
-            counts[len(w.chars)] += 1
+            n = len(w.chars)
+            if n == len(counts):
+                counts.append(0)
+            counts[n] += 1
         return _Output(f"{length},{count}" for length, count in enumerate(counts))
     return _Output(
         (w.chars for w in stream),

@@ -118,17 +118,18 @@ def _marked_span(s: str, p1: str, p2: str) -> tuple[int, int]:
     return i, i + length
 
 
-def _check_markers(s: str, p1: str, p2: str) -> None:
-    """The marker rule of the public calls: both markers are nonempty, and
-    ``s`` begins with ``p1`` and ends with ``p2``, each up to reversal."""
+def _check_markers(s: str, p1: str, p2: str, error=PreconditionViolation) -> None:
+    """The marker rule, raising ``error``: both markers are nonempty, and
+    ``s`` begins with ``p1`` and ends with ``p2``, each up to reversal. A
+    marked window keeps both, so ``_trim`` raises ``InternalInconsistency``."""
     if not p1 or not p2:
-        raise PreconditionViolation("markers must be nonempty")
+        raise error("markers must be nonempty")
     if not (s.startswith(p1) or s.startswith(p1[::-1])):
-        raise PreconditionViolation(
+        raise error(
             f"{s!r} does not begin with the start marker {p1!r} or its reverse"
         )
     if not (s.endswith(p2) or s.endswith(p2[::-1])):
-        raise PreconditionViolation(
+        raise error(
             f"{s!r} does not end with the end marker {p2!r} or its reverse"
         )
 
@@ -177,16 +178,8 @@ def _trim(
     if j - i == len(w.chars):
         return w, scan
     res = w[i:j]
-    s = res.chars
-    if not (s.startswith(p1) or s.startswith(p1[::-1])):
-        raise InternalInconsistency(
-            f"{s!r} lost its start marker {p1!r} during elimination"
-        )
-    if not (s.endswith(p2) or s.endswith(p2[::-1])):
-        raise InternalInconsistency(
-            f"{s!r} lost its end marker {p2!r} during elimination"
-        )
-    return res, _move(idx, scan, w.chars, s)
+    _check_markers(res.chars, p1, p2, InternalInconsistency)
+    return res, _move(idx, scan, w.chars, res.chars)
 
 
 def eliminate(w: Word, start: Word, end: Word) -> tuple[Word, EliminationTrace]:

@@ -11,9 +11,9 @@ word can be rewritten so that r occurs strictly fewer times while the result
 stays rich, keeps long common affixes with the original, and gains no new
 flexed palindromes. The rewrite splits the word, then either cuts at the
 second-to-last complete return to r (return case) or rebuilds the relevant
-prefix from a palindromic closure (closure case). ``reduced_word`` and the
-elimination loop share the one checked rewrite here; the loop's target
-picker sits beside the conditions.
+prefix from a palindromic closure (closure case). ``reduced_word``,
+``reduced_prefix`` and the elimination loop share the one checked rewrite
+here; the loop's target picker sits beside the conditions.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
 from .palindromes import (
     PalIndex, _FlexScan, _analysis, _cut, _keep, _move, _owned, is_rich,
 )
-from .words import Word, _Record, common_prefix_len, occ_starts, occ_str
+from .words import Word, _Record, occ_starts, occ_str
 
 __all__ = [
     "FlexRecord",
@@ -261,11 +261,14 @@ def parse(w: Word, r: Word) -> ParseTriple:
     return _reducible(w, r).parse
 
 
-def _reduce(
+def _rewrite(
     idx: PalIndex, scan: dict, pair: ReduciblePair
 ) -> tuple[ReductionTrace, dict]:
-    """The rewrite of ``pair`` from its word's index and scan, with the scan
-    of the result. Moves ``idx`` to the result; ``scan`` stays the word's."""
+    """The rewrite of ``pair`` checked against its five guarantees, with the
+    scan of the result; raises on any failure, ``NonMaximalRewrite`` when
+    the pair fails condition 5 and the result loses a guarantee. Moves
+    ``idx``, the index of the pair's word with flex scan ``scan``, to the
+    result; ``scan`` stays the word's."""
     w, r = pair.word, pair.target
     s, t = w.chars, r.chars
     p = pair.parse
@@ -329,7 +332,8 @@ def _reduce(
             )
     wrap = w._wrap
     result = wrap(reduced + tail)
-    res_scan = _move(idx, scan, s, result.chars)
+    res = result.chars
+    res_scan = _move(idx, scan, s, res)
     if case is ReductionCase.CLOSURE:
         # The closure is a standard extension of the probe, so the pick can
         # never add a flexed palindrome; when the pick extends the whole
@@ -348,16 +352,25 @@ def _reduce(
                 f"closure-case prefix {reduced!r} extends {probe!r} but "
                 f"changes its flexed palindromes"
             )
-
+    # Ending so, the reduced prefix has at least |t| - 1 letters: guarantee 4
+    # below is also the check of its common prefix with s.
     if not reduced.endswith(t[1:] + z):
         raise InternalInconsistency(
             f"reduced prefix {reduced!r} does not end with ltrim(target)+forced"
         )
-    i = common_prefix_len(reduced, s)
-    if i < len(t) - 1:
-        raise InternalInconsistency(
-            f"reduced prefix {reduced!r} shares only {i} leading letters with {s!r}"
-        )
+
+    fail = InternalInconsistency if pair.maximal else NonMaximalRewrite
+    if not idx.rich:
+        raise fail(f"reduced word {res!r} is not rich")
+    if not res_scan.keys() <= scan.keys():
+        raise fail(f"reduced word {res!r} has new flexed palindromes")
+    if occ_str(res, t) >= occ_str(s, t):
+        raise fail(f"occurrences of {t!r} did not decrease in {res!r}")
+    k = len(t) - 1
+    if res[:k] != s[:k]:
+        raise fail(f"common prefix of {res!r} and {s!r} too short")
+    if res[-k:] != s[-k:]:
+        raise fail(f"common suffix of {res!r} and {s!r} too short")
 
     opt = lambda x: None if x is None else wrap(x)
     trace = ReductionTrace(
@@ -371,45 +384,6 @@ def _reduce(
         reduced_prefix=wrap(reduced),
         result=result,
     )
-    return trace, res_scan
-
-
-def reduced_prefix(w: Word, r: Word) -> ReductionTrace:
-    """Rewrite the span+forced part of ``w`` so ``r`` occurs less often.
-
-    Raises ``NotReducible`` when the pair fails one of conditions 1-4; the
-    maximality condition 5 is recorded on the trace's pair but not required,
-    since the construction itself only depends on 1-4. The trace's
-    ``result`` field already includes the tail.
-    """
-    pair = _reducible(w, r)
-    idx, scan = _owned(w)
-    return _reduce(idx, scan, pair)[0]
-
-
-def _rewrite(
-    idx: PalIndex, scan: dict, pair: ReduciblePair
-) -> tuple[ReductionTrace, dict]:
-    """The rewrite of ``pair`` checked against its five guarantees, with the
-    scan of the result; raises on any failure, ``NonMaximalRewrite`` when
-    the pair fails condition 5. Moves ``idx``, the index of the pair's word
-    with flex scan ``scan``, to the result."""
-    trace, res_scan = _reduce(idx, scan, pair)
-    fail = InternalInconsistency if pair.maximal else NonMaximalRewrite
-    s, t = pair.word.chars, pair.target.chars
-    res = trace.result.chars
-
-    if not idx.rich:
-        raise fail(f"reduced word {res!r} is not rich")
-    if not res_scan.keys() <= scan.keys():
-        raise fail(f"reduced word {res!r} has new flexed palindromes")
-    if occ_str(res, t) >= occ_str(s, t):
-        raise fail(f"occurrences of {t!r} did not decrease in {res!r}")
-    k = len(t) - 1
-    if res[:k] != s[:k]:
-        raise fail(f"common prefix of {res!r} and {s!r} too short")
-    if res[-k:] != s[-k:]:
-        raise fail(f"common suffix of {res!r} and {s!r} too short")
     return trace, res_scan
 
 
@@ -429,3 +403,10 @@ def reduced_word(w: Word, r: Word) -> tuple[Word, ReductionTrace]:
     # nothing moves idx again, so the result keeps it as its analysis
     _keep(trace.result, idx, res_scan)
     return trace.result, trace
+
+
+def reduced_prefix(w: Word, r: Word) -> ReductionTrace:
+    """The trace of ``reduced_word(w, r)``, raising as it does: the checked
+    rewrite of the span+forced part of ``w`` so ``r`` occurs less often.
+    The trace's ``result`` field already includes the tail."""
+    return reduced_word(w, r)[1]

@@ -214,22 +214,17 @@ def _superstring_len(a: str, b: str) -> int:
     return len(a) + len(b)
 
 
-def _orient(witness_chars: str, base: Word, p1: str, p2: str) -> Word:
-    """Make both targets literal factors, closing palindromically if needed."""
-    w = base._wrap(witness_chars)
-    if p1 in witness_chars and p2 in witness_chars:
-        return w
-    return pal_closure(w)
-
-
-def _validated(witness: Word, p1: str, p2: str) -> Word:
-    if not is_rich(witness):
-        raise InternalInconsistency(f"witness {witness.chars!r} is not rich")
-    if p1 not in witness.chars or p2 not in witness.chars:
-        raise InternalInconsistency(
-            f"witness {witness.chars!r} misses a required factor"
-        )
-    return witness
+def _witness(w: Word, p1: str, p2: str) -> Word:
+    """The checked witness for the hit ``w``: ``w`` itself when it holds both
+    targets literally, else its palindromic closure, which holds every
+    reversed factor of ``w`` too."""
+    if p1 not in w.chars or p2 not in w.chars:
+        w = pal_closure(w)
+    if not is_rich(w):
+        raise InternalInconsistency(f"witness {w.chars!r} is not rich")
+    if p1 not in w.chars or p2 not in w.chars:
+        raise InternalInconsistency(f"witness {w.chars!r} misses a required factor")
+    return w
 
 
 def find_common_superword(
@@ -239,9 +234,9 @@ def find_common_superword(
 
     Iterative deepening over the rich-extension tree, each round walked in
     display order as enumeration walks it; a node hits when it contains each
-    target up to reversal, and one palindromic closure then fixes
-    orientation (so a returned witness may be longer than the length
-    budget). Every witness is re-validated before being returned. The
+    target up to reversal. ``_witness`` closes the hit palindromically when a
+    target occurs in it only reversed (so a returned witness may be longer
+    than the length budget) and checks it: rich, holding both targets. The
     default budget is ``SearchBudget()``.
 
     No word shorter than the shortest common superstring of the targets, in
@@ -264,7 +259,7 @@ def find_common_superword(
     base = w1._wrap("")
 
     if p1 == "" and p2 == "":
-        return SearchVerdict(SearchStatus.WITNESS, _validated(base, p1, p2), 0, budget)
+        return SearchVerdict(SearchStatus.WITNESS, _witness(base, p1, p2), 0, budget)
 
     first = max(len(p1), len(p2), 1)
     # reversing both targets keeps the superstring length, so two pairs do
@@ -284,7 +279,7 @@ def find_common_superword(
                 return SearchVerdict(SearchStatus.EXHAUSTED, None, explored, budget)
             explored += 1
             if (p1 in chars or r1 in chars) and (p2 in chars or r2 in chars):
-                witness = _validated(_orient(chars, base, p1, p2), p1, p2)
+                witness = _witness(base._wrap(chars), p1, p2)
                 return SearchVerdict(SearchStatus.WITNESS, witness, explored, budget)
     return SearchVerdict(SearchStatus.EXHAUSTED, None, explored, budget)
 

@@ -1,10 +1,12 @@
 """Exact bound arithmetic, digit-count handling, and bound reports."""
 
+import hashlib
 import math
 import sys
 
 import pytest
 
+import richwords.bounds as bounds
 from richwords import (
     DEFAULT_DIGIT_CAP,
     PreconditionViolation,
@@ -205,3 +207,54 @@ def test_report_validation_and_record():
         "log10_length_bound": pytest.approx(1.505149978319906),
         "digit_cap": DEFAULT_DIGIT_CAP,
     }
+
+
+def _report_digest():
+    """sha256 over the reports (or ResourceLimit messages) of a sweep of
+    marker lengths, alphabet sizes and digit caps, with and without
+    ``require_exact``. Exact integers are hashed in hex, which no str guard
+    limits."""
+    ms = [*range(1, 130), *(2**k for k in range(7, 40))]
+    ms += [*(2**k + 1 for k in range(7, 40)), *(10**k for k in range(3, 40))]
+    caps = [1, 2, 5, 50, 300, 308, 309, 310, 311, 1000, 100_000]
+    fields = ("marker_length", "alphabet_size", "flex_bound", "length_bound",
+              "growth_bound", "log10_flex_bound", "log10_length_bound", "digit_cap")
+    enc = lambda x: hex(x) if isinstance(x, int) else repr(x)
+    h = hashlib.sha256()
+    calls = 0
+    for q in (1, 2, 3, 4, 7):
+        for m in ms:
+            for cap in caps:
+                for exact in (False, True):
+                    try:
+                        rep = superword_length_bound(m, q, cap, exact)
+                        out = "|".join(enc(getattr(rep, f)) for f in fields)
+                    except ResourceLimit as exc:
+                        out = f"ResourceLimit:{exc}"
+                    h.update(out.encode() + b"\n")
+                    calls += 1
+    return calls, h.hexdigest()
+
+
+def test_report_sweep_is_pinned():
+    # Pinned from the implementation that built the exact flex bound on
+    # every call; the reports that skip it must not differ.
+    assert _report_digest() == (
+        25520, "09fbd862e248cb036c4240e8d6a4b1e1cf1dad75076ede7a206c9db44e054a47"
+    )
+
+
+def test_report_past_the_cap_does_not_build_the_flex_bound(monkeypatch):
+    # Building k for m = 10**3000 alone takes minutes; the report it would
+    # give is known without it.
+    def refuse(*args):
+        raise AssertionError("flex bound built")
+
+    monkeypatch.setattr(bounds, "flex_count_bound", refuse)
+    rep = superword_length_bound(10**3000, 2)
+    assert (rep.flex_bound, rep.length_bound, rep.growth_bound) == (None, None, None)
+    assert rep.log10_length_bound == math.inf
+    assert math.isfinite(rep.log10_flex_bound)
+    # the digit count the exact k gives (3,336,001 digits for m = 10**1000)
+    with pytest.raises(ResourceLimit, match="needs 3336001 digits, over the cap of 100000"):
+        superword_length_bound(10**1000, 2, require_exact=True)

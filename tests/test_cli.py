@@ -6,6 +6,7 @@ import json
 import pytest
 
 import oracles
+from richwords import Alphabet
 from richwords.bounds import ensure_printable
 from richwords.cli import build_parser, main
 
@@ -270,6 +271,23 @@ def test_bound_over_cap_uses_log_form(capsys):
     assert "error:" in err and "digits" in err
 
 
+def test_bound_far_past_the_cap_answers_from_logs(capsys):
+    # the exact flex bound would have 29,940,002 digits: it is never built
+    m = str(10**3000)
+    code, out, _ = run(capsys, "bound", "--m", m, "--q", "2")
+    assert code == 0
+    assert out.splitlines() == [
+        "flex_bound ~10^29939353.33",
+        "length_bound ~10^inf",
+        "growth_bound ~10^inf",
+        "log10_flex_bound 29939353.33110752",
+        "log10_length_bound inf",
+    ]
+    code, _, err = run(capsys, "bound", "--m", m, "--q", "2", "--exact")
+    assert code == 1
+    assert err == "error: exact flex bound needs 29940002 digits, over the cap of 100000\n"
+
+
 @pytest.mark.parametrize("cap", [2**31 - 3, 2**31, 10**20])
 def test_bound_digit_cap_past_the_str_guard(cap, capsys, str_guard):
     # the guard cannot be set past 2**31 - 1: it is lifted altogether
@@ -341,6 +359,24 @@ def test_enumerate_cli_deeper_than_recursion_limit(capsys):
     )
     assert code == 0
     assert out.splitlines()[-1] == "1500,1"
+
+
+def test_enumerate_count_with_a_ceiling_past_any_list(capsys, monkeypatch):
+    # A ceiling no list can be sized to: counting must read the stream, not
+    # allocate for the ceiling. The stand-in stream stops with a sentinel.
+    import richwords.cli as cli
+
+    class Sentinel(Exception):
+        pass
+
+    def stream(config, workers=1):
+        base = Alphabet(config.alphabet_size).word("")
+        yield from (base._wrap(s) for s in ("", "0", "00", "01", "1"))
+        raise Sentinel
+
+    monkeypatch.setattr(cli, "enumerate_rich", stream)
+    with pytest.raises(Sentinel):
+        main(["enumerate", "--q", "2", "--max-length", str(2**63), "--count"])
 
 
 def test_search_cli_deeper_than_recursion_limit(capsys):

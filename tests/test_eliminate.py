@@ -1,5 +1,6 @@
 """Marker-preserving trimming, target selection, and the elimination loop."""
 
+import importlib
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, given, seed, settings, strategies as st
 import oracles
 from richwords import (
     Alphabet,
+    InternalInconsistency,
     NotRich,
     PalIndex,
     PreconditionViolation,
@@ -354,6 +356,17 @@ def test_eliminate_rejects_empty_markers():
     for start, end in (("", ""), ("0", ""), ("", "0")):
         with pytest.raises(PreconditionViolation, match="markers must be nonempty"):
             eliminate(word("010", 2), word(start, 2), word(end, 2))
+
+
+def test_a_trim_that_loses_a_marker_is_an_internal_error(monkeypatch):
+    # The marked window always keeps both markers; one that does not breaks
+    # the marker rule the public calls check, as an internal error.
+    module = importlib.import_module("richwords.eliminate")
+    monkeypatch.setattr(module, "_marked_span", lambda s, p1, p2: (0, len(s) - 1))
+    with pytest.raises(InternalInconsistency) as caught:
+        eliminate(word("0012", 3), word("0", 3), word("2", 3))
+    assert type(caught.value) is InternalInconsistency
+    assert str(caught.value) == "'001' does not end with the end marker '2' or its reverse"
 
 
 def test_eliminate_takes_markers_up_to_reversal(rich2):

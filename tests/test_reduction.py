@@ -491,19 +491,42 @@ def test_non_maximal_rewrites_keep_their_guarantees_or_raise_a_domain_error():
     assert raised == {2: 534, 3: 0}
 
 
+def test_reduced_prefix_answers_as_reduced_word():
+    # Every (rich word, flexed palindrome longer than 2) pair over binary
+    # <= 14 and ternary <= 9: reduced_prefix gives reduced_word's trace, or
+    # raises what it raises. The non-maximal pairs whose rewrite loses a
+    # guarantee raise NonMaximalRewrite from both.
+    pairs, raised = {2: 0, 3: 0}, {2: 0, 3: 0}
+    for q, max_len in ((2, 14), (3, 9)):
+        for s in oracles.rich_words(q, max_len):
+            for r in oracles.flexed(s):
+                if len(r) <= 2:
+                    continue
+                pairs[q] += 1
+                got = _answer(lambda w: reduced_prefix(w, word(r, q)), word(s, q))
+                want = _answer(lambda w: reduced_word(w, word(r, q))[1], word(s, q))
+                assert got == want, (s, r)
+                raised[q] += isinstance(got, tuple) and got[0] is NonMaximalRewrite
+    assert sum(pairs.values()) == 91966
+    assert raised == {2: 534, 3: 0}
+
+
 def test_a_lost_guarantee_is_a_domain_error_only_on_a_non_maximal_pair(monkeypatch):
     # With a flexed palindrome slipped into every result's scan, the check
     # "no new flexed palindromes" fails on every rewrite: a maximal pair
     # reports a broken invariant, a non-maximal one bad input.
     import richwords.reduction as reduction
 
-    rewrite = reduction._reduce
+    move = reduction._move
 
-    def tampered(idx, scan, pair):
-        trace, res_scan = rewrite(idx, scan, pair)
-        return trace, {**res_scan, "slipped in": None}
+    def tampered(idx, scan, s, chars):
+        # placed past the result's end, so the closure-case census, which
+        # cuts the scan to the reduced prefix, does not see it
+        res_scan = move(idx, scan, s, chars)
+        res_scan["slipped in"] = (len(chars) + 1, "")
+        return res_scan
 
-    monkeypatch.setattr(reduction, "_reduce", tampered)
+    monkeypatch.setattr(reduction, "_move", tampered)
     assert check_reducible(word(W1), word("3993")).maximal
     with pytest.raises(InternalInconsistency, match="new flexed palindromes") as caught:
         reduced_word(word(W1), word("3993"))

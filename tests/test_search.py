@@ -11,6 +11,7 @@ from richwords import (
     AlphabetMismatch,
     DomainError,
     EnumConfig,
+    InternalInconsistency,
     NotRich,
     PalIndex,
     PreconditionViolation,
@@ -218,6 +219,24 @@ def test_search_empty_targets():
     assert "11" in v.witness.chars
 
 
+def test_a_witness_that_is_not_rich_is_an_internal_error(monkeypatch):
+    # only the targets pass: the hit 001, closed to 00100, does not, nor
+    # does the empty pair's witness
+    for a, b, witness in (("01", "100", "00100"), ("", "", "")):
+        w1, w2 = word(a, 2), word(b, 2)
+        monkeypatch.setattr(search, "is_rich", lambda w: w is w1 or w is w2)
+        with pytest.raises(InternalInconsistency, match=f"witness '{witness}' is not rich"):
+            find_common_superword(w1, w2)
+
+
+def test_an_unclosed_witness_misses_a_required_factor(monkeypatch):
+    # The hit 001 holds 100 only reversed; without the closure that orients
+    # it, the check of both literal factors fails.
+    monkeypatch.setattr(search, "pal_closure", lambda w: w)
+    with pytest.raises(InternalInconsistency, match="witness '001' misses a required factor"):
+        find_common_superword(word("01", 2), word("100", 2))
+
+
 def test_search_witnesses_are_valid_on_pair_sweep(rich2):
     targets = [s for s in rich2 if 1 <= len(s) <= 4]
     budget = SearchBudget(10, 200_000)
@@ -307,7 +326,7 @@ def _walked_search(w1, w2, budget=None):
                 return SearchVerdict(SearchStatus.EXHAUSTED, None, explored, budget)
             explored += 1
             if (p1 in chars or r1 in chars) and (p2 in chars or r2 in chars):
-                witness = search._orient(chars, base, p1, p2)
+                witness = search._witness(base._wrap(chars), p1, p2)
                 return SearchVerdict(SearchStatus.WITNESS, witness, explored, budget)
     return SearchVerdict(SearchStatus.EXHAUSTED, None, explored, budget)
 
