@@ -29,6 +29,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Iterator
 
 from .errors import InternalInconsistency, NotRich, _require_int
@@ -141,7 +142,7 @@ def _enumerate(config: EnumConfig, workers: int, alphabet: Alphabet) -> Iterator
         yield base._wrap(chars)
         if len(chars) == split:
             roots.append(chars)
-    if split >= config.max_length or not roots:
+    if split >= config.max_length:
         return
     import multiprocessing  # only this branch needs it; importing it costs ~1 MB
 
@@ -160,41 +161,32 @@ class _RoundCounts:
     """How many nodes a deepening round over ``q`` letters visits: round L
     visits every nonempty rich word of length <= L once.
 
-    ``by_length[k]`` is the number of rich words of length k, exact up to the
-    deepest complete walk. A walk cut at a cap leaves only a floor in
-    ``floors``: at least ``floors[d]`` rich words of length <= d. Both depend
-    on ``q`` alone and hold no input word.
+    ``upto[L]`` is that number, exact up to the deepest complete walk. A walk
+    cut at a cap leaves only a floor in ``capped``: at least ``capped[L]``
+    nonempty rich words of length <= L. Both depend on ``q`` alone and hold
+    no input word.
     """
 
     def __init__(self, q: int):
         self.q = q
-        self.by_length = [0]
-        self.floors: dict[int, int] = {}
+        self.upto = [0]
+        self.capped: dict[int, int] = {}
 
-    def total(self, first: int, last: int, cap: int) -> int:
-        """Nodes visited by the rounds ``first``..``last``, or ``cap`` when
-        that is at least ``cap``. Walks at most ``cap`` nodes to find out."""
-        depth = len(self.by_length) - 1
-        total = size = 0
-        for length in range(1, last + 1):
-            # beyond the table, a round visits at least as many as at depth
-            size += self.by_length[length] if length <= depth else 0
-            if length >= first:
-                total += size
-        if total >= cap:
+    def size(self, limit: int, cap: int) -> int:
+        """Nodes visited by round ``limit``, or ``cap`` when that is at least
+        ``cap``. Walks at most ``cap`` nodes to find out."""
+        if limit < len(self.upto):
+            return min(self.upto[limit], cap)
+        if any(d <= limit and n >= cap for d, n in self.capped.items()):
             return cap
-        if last <= depth:
-            return total
-        if any(d <= last and n >= cap for d, n in self.floors.items()):
-            return cap
-        by_length = [0] * (last + 1)
-        for seen, chars in enumerate(_walk(PalIndex(Alphabet(self.q)), last), 1):
+        by_length = [0] * (limit + 1)
+        for seen, chars in enumerate(_walk(PalIndex(Alphabet(self.q)), limit), 1):
             if seen == cap:
-                self.floors[last] = cap
+                self.capped[limit] = cap
                 return cap
             by_length[len(chars)] += 1
-        self.by_length = by_length
-        return self.total(first, last, cap)
+        self.upto = list(accumulate(by_length))
+        return self.upto[limit]
 
 
 # One table per alphabet size, shared by every query in the process: its
@@ -261,19 +253,17 @@ def find_common_superword(
     if p1 == "" and p2 == "":
         return SearchVerdict(SearchStatus.WITNESS, _witness(base, p1, p2), 0, budget)
 
-    first = max(len(p1), len(p2), 1)
     # reversing both targets keeps the superstring length, so two pairs do
     short = min(_superstring_len(p1, p2), _superstring_len(p1, r2))
-    last = min(short - 1, budget.max_length)
+    q = w1.alphabet.size
+    counts = _ROUND_COUNTS.get(q) or _ROUND_COUNTS.setdefault(q, _RoundCounts(q))
     explored = 0
-    if first <= last:
-        q = w1.alphabet.size
-        counts = _ROUND_COUNTS.get(q) or _ROUND_COUNTS.setdefault(q, _RoundCounts(q))
-        explored = counts.total(first, last, budget.max_nodes)
-    if explored >= budget.max_nodes:
-        # the counted rounds spent the budget: no walker is built
-        return SearchVerdict(SearchStatus.EXHAUSTED, None, explored, budget)
-    for limit in range(max(first, short), budget.max_length + 1):
+    for limit in range(max(len(p1), len(p2), 1), budget.max_length + 1):
+        if limit < short:
+            explored += counts.size(limit, budget.max_nodes - explored)
+            if explored >= budget.max_nodes:
+                break  # the counted rounds spent the budget: no walker is built
+            continue
         for chars in _walk(PalIndex(w1.alphabet), limit):
             if explored >= budget.max_nodes:
                 return SearchVerdict(SearchStatus.EXHAUSTED, None, explored, budget)

@@ -107,7 +107,8 @@ class Word:
 
     Equality and hashing compare symbol content only, so equal words from
     different alphabet declarations collide in sets; operations that need a
-    shared alphabet (lcp, lcs, concatenation) check it explicitly.
+    shared alphabet (lcp, lcs, concatenation, ``find_common_superword``)
+    check it explicitly.
 
     A rich word can keep its analysis in ``_pal``: None, or the pair of its
     ``PalIndex`` and its flex scan, whose presence proves the word rich.
@@ -156,9 +157,7 @@ class Word:
         return NotImplemented
 
     def __contains__(self, other) -> bool:
-        if isinstance(other, Word):
-            return other.chars in self.chars
-        return str(other) in self.chars
+        return (other.chars if isinstance(other, Word) else other) in self.chars
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.chars)

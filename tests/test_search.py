@@ -352,41 +352,44 @@ def test_counted_rounds_match_walked_rounds_on_pair_sweeps(rich2, rich3):
                 assert got == _outcome(_walked_search(w1, w2)), (a, b)
 
 
-@pytest.mark.parametrize("a, b, q", [
-    ("00000", "11111", 2), ("0010", "1101", 2), ("000", "111", 3), ("0102", "2101", 3),
-])
-def test_counted_rounds_match_at_round_boundaries(a, b, q, rich2, rich3, monkeypatch):
-    upto = _rich_upto(rich2 if q == 2 else rich3)
-    first = max(len(a), len(b))
-    # the shortest string holding both targets, each in either orientation
-    short = min(
+def _short(a, b):
+    """The shortest string holding both targets, each in either orientation."""
+    return min(
         len(x + y[k:])
         for u in (a, a[::-1]) for v in (b, b[::-1]) for x, y in ((u, v), (v, u))
         for k in range(len(y) + 1) if y in x + y[k:]
     )
-    assert short > first  # the pair has counted rounds
-    budgets = set()
-    explored = 0
-    for limit in range(first, short):
-        explored += upto[limit]
-        budgets |= {upto[limit] + d for d in (-1, 0, 1)}
-        budgets |= {explored + d for d in (-1, 0, 1)}
-    w1, w2 = word(a, q), word(b, q)
-    for nodes in sorted(budgets):
-        budget = SearchBudget(len(a) + len(b), nodes)
-        want = _outcome(_walked_search(w1, w2, budget))
-        assert _outcome(find_common_superword(w1, w2, budget)) == want, nodes
-        monkeypatch.setattr(search, "_ROUND_COUNTS", {})  # the same from a cold table
-        assert _outcome(find_common_superword(w1, w2, budget)) == want, nodes
+
+
+def test_counted_rounds_match_at_round_boundaries(rich2, rich3, monkeypatch):
+    # every pair of 1-4 binary or 1-3 ternary letters, and two longer pairs;
+    # the budgets end just before, at and just after each counted round
+    for q, corpus, top, longer in ((2, rich2, 4, "00000 11111"), (3, rich3, 3, "0102 2101")):
+        upto = _rich_upto(corpus)
+        targets = [s for s in corpus if 1 <= len(s) <= top]
+        for a, b in [(a, b) for a in targets for b in targets] + [tuple(longer.split())]:
+            budgets = set()
+            explored = 0
+            for limit in range(max(len(a), len(b)), _short(a, b)):
+                explored += upto[limit]
+                budgets |= {explored - 1, explored, explored + 1}
+            w1, w2 = word(a, q), word(b, q)
+            for nodes in sorted(budgets):
+                budget = SearchBudget(len(a) + len(b), nodes)
+                want = _outcome(_walked_search(w1, w2, budget))
+                assert _outcome(find_common_superword(w1, w2, budget)) == want, (a, b, nodes)
+                monkeypatch.setattr(search, "_ROUND_COUNTS", {})  # the same from a cold table
+                assert _outcome(find_common_superword(w1, w2, budget)) == want, (a, b, nodes)
 
 
 def test_round_counts_match_oracle():
     for q, top in ((1, 8), (2, 10), (3, 6), (4, 5)):
         upto = _rich_upto(oracles.rich_words(q, top))
-        counts = search._RoundCounts(q)
-        for n in range(1, top + 1):
-            assert counts.total(n, n, 10**9) == upto[n], (q, n)
-        assert counts.total(1, top, 10**9) == sum(upto)
+        warm = search._RoundCounts(q)
+        assert warm.size(top, 10**9) == upto[top]
+        for n in range(top + 1):
+            assert search._RoundCounts(q).size(n, 10**9) == upto[n], (q, n)
+            assert warm.size(n, 10**9) == upto[n], (q, n)
 
 
 def test_capped_fill_walks_at_most_cap_nodes(monkeypatch):
@@ -398,15 +401,27 @@ def test_capped_fill_walks_at_most_cap_nodes(monkeypatch):
             yield chars
 
     monkeypatch.setattr(search, "_walk", counted)
-    rounds = 62 + 126 + 254 + 506 + 994  # binary rounds 5..9
+    w1, w2 = word("00000", 2), word("11111", 2)  # rounds 5..9 are counted
+    rounds = 62 + 126 + 254 + 506 + 994
     for cap in (1, 2, 993, 994, 995, rounds - 1, rounds, rounds + 1):
+        monkeypatch.setattr(search, "_ROUND_COUNTS", {})
+        budget = SearchBudget(9, cap)
+        want = (SearchStatus.EXHAUSTED, None, min(cap, rounds))
         walked.clear()
-        counts = search._RoundCounts(2)
-        assert counts.total(5, 9, cap) == min(cap, rounds), cap
+        assert _outcome(find_common_superword(w1, w2, budget)) == want, cap
         assert len(walked) <= cap, cap
         walked.clear()
-        assert counts.total(5, 9, cap) == min(cap, rounds), cap
+        assert _outcome(find_common_superword(w1, w2, budget)) == want, cap
         assert walked == [], cap  # answered from the table alone
+
+    counts = search._RoundCounts(2)
+    assert counts.size(8, 506) == 506 and counts.capped == {8: 506}  # cut at its last word
+    walked.clear()
+    # a round cut at 506 nodes holds at least 506 at its length and beyond
+    assert (counts.size(8, 506), counts.size(9, 40)) == (506, 40)
+    assert walked == []
+    assert counts.size(7, 1000) == 254 and len(walked) == 254  # a shorter round is walked
+    assert counts.size(8, 507) == 506 == counts.upto[8]  # and so is a larger cap
 
 
 def test_budget_spent_by_counted_rounds_builds_no_walker(monkeypatch):

@@ -119,6 +119,9 @@ def test_word_behaves_like_a_sequence():
     assert list(w) == ["0", "1", "1", "0"]
     with pytest.raises(TypeError):
         w + 1
+    for other in (1, None, b"0"):  # as with a str, a non-text operand is refused
+        with pytest.raises(TypeError):
+            other in w
 
 
 def test_word_equality_is_content_only():
