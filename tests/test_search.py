@@ -361,7 +361,30 @@ def _short(a, b):
     )
 
 
-def test_counted_rounds_match_at_round_boundaries(rich2, rich3, monkeypatch):
+@pytest.mark.parametrize("a, b, q", [
+    ("00000", "11111", 2), ("0010", "1101", 2), ("000", "111", 3), ("0102", "2101", 3),
+])
+def test_counted_rounds_match_at_round_boundaries(a, b, q, rich2, rich3, monkeypatch):
+    upto = _rich_upto(rich2 if q == 2 else rich3)
+    first = max(len(a), len(b))
+    short = _short(a, b)
+    assert short > first  # the pair has counted rounds
+    budgets = set()
+    explored = 0
+    for limit in range(first, short):
+        explored += upto[limit]
+        budgets |= {upto[limit] + d for d in (-1, 0, 1)}
+        budgets |= {explored + d for d in (-1, 0, 1)}
+    w1, w2 = word(a, q), word(b, q)
+    for nodes in sorted(budgets):
+        budget = SearchBudget(len(a) + len(b), nodes)
+        want = _outcome(_walked_search(w1, w2, budget))
+        assert _outcome(find_common_superword(w1, w2, budget)) == want, nodes
+        monkeypatch.setattr(search, "_ROUND_COUNTS", {})  # the same from a cold table
+        assert _outcome(find_common_superword(w1, w2, budget)) == want, nodes
+
+
+def test_counted_rounds_match_at_round_boundaries_on_pair_sweeps(rich2, rich3, monkeypatch):
     # every pair of 1-4 binary or 1-3 ternary letters, and two longer pairs;
     # the budgets end just before, at and just after each counted round
     for q, corpus, top, longer in ((2, rich2, 4, "00000 11111"), (3, rich3, 3, "0102 2101")):
